@@ -2,10 +2,8 @@ import os
 
 from setuptools import Extension, setup
 
-# The extension is built from the committed C that Cython generated from
-# _kernel64.pyx, so a build needs only a C compiler and the Python headers.
-# After editing the .pyx, regenerate the .c (cython -3 src/primekit/_kernel64.pyx)
-# and commit both files.
+# The compiled kernel is one hand-written C file against the CPython API, so a
+# build needs only a C compiler and the Python headers.
 ext_modules = []
 if os.environ.get("PRIMEKIT_PURE_ONLY") != "1":
     ext_modules.append(

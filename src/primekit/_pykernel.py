@@ -8,50 +8,40 @@ tests.
 """
 
 import math
+from operator import index
 
-U64_MAX = 2**64 - 1
-DEFAULT_SEARCH_CAP = 1000
+from .modarith import U64_MAX
+from .residues import DEFAULT_SEARCH_CAP, is_small_prime
+
 BACKEND_NAME = "python"
 
 _ORACLE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _u64(n):
+    # __index__ rejects floats instead of truncating them
+    n = index(n)
     if not 0 <= n <= U64_MAX:
         raise OverflowError("value out of uint64 range")
     return n
 
 
-def mulmod(a, b, m):
-    _u64(a), _u64(b), _u64(m)
+def mulmod(a, b, m, /):
+    a, b, m = _u64(a), _u64(b), _u64(m)
     if m == 0:
         raise ValueError("modulus must be >= 1")
     return a * b % m
 
 
-def powmod(a, e, m):
-    _u64(a), _u64(e), _u64(m)
+def powmod(a, e, m, /):
+    a, e, m = _u64(a), _u64(e), _u64(m)
     if m == 0:
         raise ValueError("modulus must be >= 1")
     return pow(a, e, m)
 
 
-def isqrt64(n):
+def isqrt64(n, /):
     return math.isqrt(_u64(n))
-
-
-def _is_small_prime(p):
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    lim = math.isqrt(p)
-    d = 3
-    while d <= lim:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _search(n, first, step, cap):
@@ -61,7 +51,7 @@ def _search(n, first, step, cap):
     seen = 0
     while seen < cap:
         seen += 1
-        if _is_small_prime(c):
+        if is_small_prime(c):
             v = pow(n % c, (c - 1) >> 1, c)
             if v == c - 1:
                 return 1, c
@@ -91,8 +81,8 @@ def _raise_exhausted():
     raise RuntimeError("nonresidue search exceeded its candidate cap")
 
 
-def ge_is_prime(n, cap=DEFAULT_SEARCH_CAP):
-    _u64(n)
+def ge_is_prime(n, cap=DEFAULT_SEARCH_CAP, /):
+    n, cap = _u64(n), index(cap)
     if n < 2:
         return False
     if n == 2:
@@ -100,7 +90,7 @@ def ge_is_prime(n, cap=DEFAULT_SEARCH_CAP):
     if n % 2 == 0:
         return False
     if n < 100:
-        return _is_small_prime(n)
+        return is_small_prime(n)
     e = (n - 1) >> 1
     want = 1 if n % 8 in (1, 7) else n - 1
     if pow(2, e, n) != want:
@@ -124,8 +114,8 @@ def ge_is_prime(n, cap=DEFAULT_SEARCH_CAP):
     return True
 
 
-def mrge_is_prime(n, cap=DEFAULT_SEARCH_CAP):
-    _u64(n)
+def mrge_is_prime(n, cap=DEFAULT_SEARCH_CAP, /):
+    n, cap = _u64(n), index(cap)
     if n < 2:
         return False
     if n == 2:
@@ -153,8 +143,8 @@ def mrge_is_prime(n, cap=DEFAULT_SEARCH_CAP):
     return pow(p, (n - 1) >> 1, n) == need
 
 
-def first_attempt_is_prime(n, cap=DEFAULT_SEARCH_CAP):
-    _u64(n)
+def first_attempt_is_prime(n, cap=DEFAULT_SEARCH_CAP, /):
+    n, cap = _u64(n), index(cap)
     if n < 2:
         return False
     if n == 2:
@@ -179,8 +169,8 @@ def first_attempt_is_prime(n, cap=DEFAULT_SEARCH_CAP):
     return pow(p, (n - 1) >> 1, n) == n - 1
 
 
-def mr7_is_prime(n):
-    _u64(n)
+def mr7_is_prime(n, /):
+    n = _u64(n)
     if n == 17:
         return True
     if n < 9:
@@ -196,8 +186,8 @@ def mr7_is_prime(n):
     return True
 
 
-def oracle_is_prime(n):
-    _u64(n)
+def oracle_is_prime(n, /):
+    n = _u64(n)
     if n < 2:
         return False
     for p in _ORACLE_BASES:

@@ -19,7 +19,7 @@ a proven fact.
 """
 
 from . import residues
-from .modarith import U64_MAX, isqrt, powmod
+from .modarith import isqrt, powmod, require_u64
 from .residues import (
     ABORT,
     DEFAULT_SEARCH_CAP,
@@ -99,7 +99,7 @@ def gauss_euler(
     misbehaves when the searched prime can reach n itself, so tiny inputs
     are screened rather than special-cased downstream.
     """
-    _require_u64(n)
+    require_u64(n)
     v = _screen(n, small_limit=100)
     if v is not None:
         return v
@@ -137,7 +137,7 @@ def mr_ge(
     isqrt(n) itself, so squares are not structurally excluded, and the
     4k+3 search cannot terminate with -1 on a square.
     """
-    _require_u64(n)
+    require_u64(n)
     v = _screen(n, small_limit=9)
     if v is not None:
         return v
@@ -169,7 +169,7 @@ def mr_ge_first_attempt(
 ) -> Verdict:
     """The rejected first MR-GE design; 17364052083370132981 (composite)
     passes it. Retained so that falsification stays reproducible."""
-    _require_u64(n)
+    require_u64(n)
     v = _screen(n, small_limit=9)
     if v is not None:
         return v
@@ -251,8 +251,3 @@ def _smallest_odd_factor(n: int) -> int:
             return d
         d += 2
     return n
-
-
-def _require_u64(n: int) -> None:
-    if not 0 <= n <= U64_MAX:
-        raise OverflowError("n must fit in an unsigned 64-bit integer")

@@ -103,6 +103,7 @@ class BenchResult:
     ns_per_call: float
     primes: int
     composites: int
+    backend: str
 
     def csv_row(self) -> str:
         return (
@@ -114,7 +115,8 @@ class BenchResult:
         return (
             f"set {self.set_id} algo={self.algo} reps={self.reps} "
             f"median={self.median_seconds:.3f}s ({self.ns_per_call:.0f} ns/call) "
-            f"primes={self.primes} composites={self.composites}"
+            f"primes={self.primes} composites={self.composites} "
+            f"backend={self.backend}"
         )
 
 
@@ -158,6 +160,7 @@ def run_bench(
         ns_per_call=med / len(data) * 1e9,
         primes=primes,
         composites=len(data) - primes,
+        backend=impl.BACKEND_NAME,
     )
 
 
@@ -241,11 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_test(args, cap: int) -> int:
     algo = RICH_ALGORITHMS[args.algo]
     trace = [] if args.trace else None
-    kwargs = {"trace": trace} if args.algo in ("mr7", "oracle") else {
-        "trace": trace,
-        "cap": cap,
-    }
-    verdict = algo(args.n, **kwargs)
+    kwargs = {"cap": cap} if args.algo in kernel.CAPPED else {}
+    verdict = algo(args.n, trace=trace, **kwargs)
     if trace is not None:
         for step in trace:
             print(step.describe())

@@ -55,7 +55,6 @@ def available_backends() -> tuple[str, ...]:
 _impl = load_backend(os.environ.get("PRIMEKIT_BACKEND", "auto"))
 
 BACKEND = _impl.BACKEND_NAME
-DEFAULT_SEARCH_CAP = _impl.DEFAULT_SEARCH_CAP
 
 mulmod = _impl.mulmod
 powmod = _impl.powmod

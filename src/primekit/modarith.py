@@ -26,6 +26,12 @@ def mulmod(a: int, b: int, m: int) -> int:
     return a * b % m
 
 
+def require_u64(n: int) -> None:
+    """Raise OverflowError unless 0 <= n < 2**64."""
+    if not 0 <= n <= U64_MAX:
+        raise OverflowError("n must fit in an unsigned 64-bit integer")
+
+
 def powmod(a: int, e: int, m: int) -> int:
     """Return ``a**e % m`` by square-and-multiply; ``e == 0`` gives ``1 % m``."""
     if m < 1:

@@ -8,7 +8,7 @@ the usual strong-probable-prime condition.
 
 from dataclasses import dataclass
 
-from .modarith import U64_MAX, isqrt, mulmod, powmod
+from .modarith import isqrt, mulmod, powmod, require_u64
 from .verdicts import Stage, TraceStep, Verdict
 
 
@@ -135,7 +135,7 @@ def seven_base_variant(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     Accurate for every 64-bit integer except documented false positives
     (33077785078626881 passes despite being composite).
     """
-    _require_u64(n)
+    require_u64(n)
     if n == 17:
         return Verdict(True, Stage.small_prime_screen(), 17)
     if n < 9:
@@ -148,7 +148,7 @@ def seven_base_variant(n: int, trace: list[TraceStep] | None = None) -> Verdict:
 def reference_oracle64(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     """Exact primality verdict for any n < 2^64, via the fixed twelve-prime
     base set. Used as trusted ground truth by the verification drivers."""
-    _require_u64(n)
+    require_u64(n)
     if n < 2:
         return Verdict(False, Stage.even_or_unit())
     for p in ORACLE_BASES:
@@ -174,8 +174,3 @@ def _small_screen(n: int) -> Verdict:
     if n < 2:
         return Verdict(False, Stage.even_or_unit())
     return Verdict(False, Stage.even_or_unit(), 2)
-
-
-def _require_u64(n: int) -> None:
-    if not 0 <= n <= U64_MAX:
-        raise OverflowError("n must fit in an unsigned 64-bit integer")

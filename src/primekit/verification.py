@@ -19,9 +19,8 @@ import numpy as np
 from . import kernel
 from .bigrecipes import recipe256, recipe2048
 from .detprime64 import gauss_euler, mr_ge, mr_ge_first_attempt
+from .modarith import U64_MAX
 from .sprp import decompose, reference_oracle64, seven_base_variant, sprp_round
-
-U64_MAX = 2**64 - 1
 
 # rich (stage-carrying) implementations, for diagnosing any mismatch
 RICH_ALGORITHMS = {
@@ -110,7 +109,7 @@ def _algo_callable(algo: str, cap: int | None):
 
 def _stage_of(algo: str, n: int, cap: int | None) -> str:
     rich = RICH_ALGORITHMS[algo]
-    if cap is not None and algo in ("ge", "mrge", "first"):
+    if cap is not None and algo in kernel.CAPPED:
         return rich(n, cap=cap).stage.describe()
     return rich(n).stage.describe()
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from primekit import kernel
 from primekit.harness import (
     BENCH_SETS,
     CSV_HEADER,
@@ -61,6 +62,14 @@ def test_run_bench_validates_arguments():
         run_bench(1, "oracle")
     with pytest.raises(ValueError):
         run_bench(1, "ge", reps=0)
+
+
+def test_bench_human_names_backend():
+    for backend, name in (("py", "python"), ("auto", kernel.BACKEND)):
+        res = run_bench(1, "mr7", reps=1, backend=backend)
+        assert res.backend == name
+        assert res.human().endswith(f" backend={name}")
+        assert len(res.csv_row().split(",")) == 7  # the fixed CSV columns
 
 
 def test_csv_row_format():

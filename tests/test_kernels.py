@@ -18,6 +18,7 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from primekit import kernel
@@ -224,14 +225,112 @@ def test_kernel_zero_modulus(impl):
 
 
 def test_kernel_exhausted_cap_raises(impl):
-    with pytest.raises(RuntimeError):
-        impl.ge_is_prime(101, 0)
-    with pytest.raises(RuntimeError):
-        impl.mrge_is_prime(101, 0)
-    with pytest.raises(RuntimeError):
-        impl.first_attempt_is_prime(101, 0)
+    for cap in (0, -1):
+        with pytest.raises(RuntimeError):
+            impl.ge_is_prime(101, cap)
+        with pytest.raises(RuntimeError):
+            impl.mrge_is_prime(101, cap)
+        with pytest.raises(RuntimeError):
+            impl.first_attempt_is_prime(101, cap)
 
 
-def test_backend_selection_env(monkeypatch):
-    assert kernel.BACKEND in ("c", "python")
+def test_kernel_rejects_non_integers(impl):
+    # floats are refused, never truncated (97.9 would otherwise read as 97)
+    for call in (
+        lambda: impl.ge_is_prime(97.9),
+        lambda: impl.ge_is_prime(101, 2.0),
+        lambda: impl.mrge_is_prime(1e3),
+        lambda: impl.first_attempt_is_prime(101.0),
+        lambda: impl.mr7_is_prime(5.0),
+        lambda: impl.oracle_is_prime(97.0),
+        lambda: impl.isqrt64(4.0),
+        lambda: impl.mulmod(2.5, 3.7, 5.9),
+        lambda: impl.powmod(2, 3.0, 5),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    # integer-like objects go through __index__
+    assert impl.ge_is_prime(np.uint64(97)) is True
+    assert impl.mr7_is_prime(np.uint64(97)) is True
+    assert impl.ge_is_prime(101, np.int64(5)) is True
+    assert impl.mulmod(np.uint64(U64_MAX), np.uint64(3), 2**61 - 1) == (
+        U64_MAX * 3 % (2**61 - 1)
+    )
+    assert impl.isqrt64(np.uint64(10**18)) == 10**9
+
+
+def test_kernel_arguments_are_positional_only(impl):
+    with pytest.raises(TypeError):
+        impl.ge_is_prime(101, cap=5)
+    with pytest.raises(TypeError):
+        impl.mr7_is_prime(n=101)
+    with pytest.raises(TypeError):
+        impl.mulmod(1, 2, m=5)
+    with pytest.raises(TypeError):
+        impl.ge_is_prime(101, 5, 7)
+    with pytest.raises(TypeError):
+        impl.powmod(1, 2)
+
+
+def _select_backend(src: Path, backend: str) -> subprocess.CompletedProcess:
+    """Import ``primekit.kernel`` from ``src`` in a fresh interpreter with
+    PRIMEKIT_BACKEND set; prints the backend and any warnings, or exits 3 on
+    ImportError."""
+    script = (
+        "import sys, warnings\n"
+        "warnings.simplefilter('always')\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    try:\n"
+        "        from primekit import kernel\n"
+        "    except ImportError:\n"
+        "        sys.exit(3)\n"
+        "print(kernel.BACKEND)\n"
+        "print(*[str(w.message) for w in caught], sep='\\n')\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PRIMEKIT_PURE_ONLY"}
+    env["PRIMEKIT_BACKEND"] = backend
+    env["PYTHONPATH"] = str(src)
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=src.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+@needs_build_tools
+def test_backend_selection_env(kernel_build, tmp_path):
     assert set(kernel.ALGORITHMS) == {"ge", "mrge", "first", "mr7", "oracle"}
+    for backend, expected in (("py", "python"), ("python", "python"), ("c", "c"),
+                              ("auto", "c")):
+        proc = _select_backend(kernel_build, backend)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [expected], (backend, proc.stdout)
+
+    proc = _select_backend(kernel_build, "fortran")
+    assert proc.returncode == 0, proc.stderr
+    first, *warned = proc.stdout.splitlines()
+    assert first == "c"
+    assert any("unknown kernel backend 'fortran'" in w for w in warned), warned
+
+    # a tree without the built extension: c is refused, auto falls back
+    shutil.copytree(
+        kernel_build,
+        tmp_path / "src",
+        ignore=shutil.ignore_patterns("*.so", "__pycache__"),
+    )
+    assert _select_backend(tmp_path / "src", "c").returncode == 3
+    proc = _select_backend(tmp_path / "src", "auto")
+    assert proc.stdout.split() == ["python"], proc.stderr
+
+
+@needs_build_tools
+def test_kernel_source_compiles_without_warnings():
+    proc = subprocess.run(
+        [CC, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
+         f"-I{PYTHON_H.parent}", str(REPO / "src" / "primekit" / "_kernel64.c")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
