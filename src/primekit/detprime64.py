@@ -99,7 +99,7 @@ def gauss_euler(
     misbehaves when the searched prime can reach n itself, so tiny inputs
     are screened rather than special-cased downstream.
     """
-    require_u64(n)
+    n = require_u64(n)
     v = _screen(n, small_limit=100)
     if v is not None:
         return v
@@ -137,7 +137,7 @@ def mr_ge(
     isqrt(n) itself, so squares are not structurally excluded, and the
     4k+3 search cannot terminate with -1 on a square.
     """
-    require_u64(n)
+    n = require_u64(n)
     v = _screen(n, small_limit=9)
     if v is not None:
         return v
@@ -169,7 +169,7 @@ def mr_ge_first_attempt(
 ) -> Verdict:
     """The rejected first MR-GE design; 17364052083370132981 (composite)
     passes it. Retained so that falsification stays reproducible."""
-    require_u64(n)
+    n = require_u64(n)
     v = _screen(n, small_limit=9)
     if v is not None:
         return v

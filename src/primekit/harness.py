@@ -5,15 +5,18 @@ values each) with a monotonic clock, reporting the median of R repetitions
 after one discarded warm-up pass. Absolute seconds depend on the machine;
 only orderings and ratios are comparable across runs.
 
-Exit codes: 0 success / no mismatch, 1 mismatch found, 2 usage error.
+Exit codes: 0 success / no mismatch, 1 mismatch found, 2 usage error,
+3 a worker process of a ``--jobs`` sweep crashed.
 """
 
 import argparse
+import functools
 import os
 import statistics
 import sys
 import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from . import kernel
@@ -134,10 +137,7 @@ def run_bench(
         raise ValueError("reps must be >= 1")
     data = generate_set(set_id)
     impl = kernel.load_backend(backend)
-    fn = getattr(impl, kernel.FUNC_NAMES[algo])
-    if cap is not None and algo in kernel.CAPPED:
-        base_fn = fn
-        fn = lambda x: base_fn(x, cap)  # noqa: E731
+    fn = kernel.bind_cap(algo, getattr(impl, kernel.FUNC_NAMES[algo]), cap)
 
     primes = 0
     for x in data:  # warm-up pass, discarded
@@ -242,10 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_test(args, cap: int) -> int:
-    algo = RICH_ALGORITHMS[args.algo]
     trace = [] if args.trace else None
-    kwargs = {"cap": cap} if args.algo in kernel.CAPPED else {}
-    verdict = algo(args.n, trace=trace, **kwargs)
+    algo = functools.partial(RICH_ALGORITHMS[args.algo], trace=trace)
+    verdict = kernel.bind_cap(args.algo, algo, cap)(args.n)
     if trace is not None:
         for step in trace:
             print(step.describe())
@@ -355,6 +354,9 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:  # a RuntimeError, but not a usage error
+        print(f"error: a worker process crashed: {exc}", file=sys.stderr)
+        return 3
     except (OverflowError, ValueError, RuntimeError) as exc:
         # RuntimeError covers an exhausted nonresidue search: a hard
         # failure, never a verdict

@@ -19,6 +19,15 @@ FUNC_NAMES = {
 CAPPED = frozenset(("ge", "mrge", "first"))
 
 
+def bind_cap(algo: str, fn, cap: int | None):
+    """``fn`` called with ``n`` alone: ``cap`` is bound as the second
+    positional argument when it is given and ``algo`` takes one. Serves the
+    kernel entry points and the rich tests alike."""
+    if cap is None or algo not in CAPPED:
+        return fn
+    return lambda n: fn(n, cap)
+
+
 def load_backend(name: str = "auto"):
     """Return the kernel module for ``name`` in {auto, c, py}."""
     if name in ("py", "python"):

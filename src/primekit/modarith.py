@@ -8,6 +8,7 @@ against.
 """
 
 import math
+import operator
 
 U64_MAX = 2**64 - 1
 
@@ -26,10 +27,14 @@ def mulmod(a: int, b: int, m: int) -> int:
     return a * b % m
 
 
-def require_u64(n: int) -> None:
-    """Raise OverflowError unless 0 <= n < 2**64."""
+def require_u64(n) -> int:
+    """``n`` as a plain int; TypeError unless it is an integer (a float is
+    refused, ``numpy.uint64`` converted), OverflowError unless
+    0 <= n < 2**64. The same rules as the kernels."""
+    n = operator.index(n)
     if not 0 <= n <= U64_MAX:
         raise OverflowError("n must fit in an unsigned 64-bit integer")
+    return n
 
 
 def powmod(a: int, e: int, m: int) -> int:

@@ -135,7 +135,7 @@ def seven_base_variant(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     Accurate for every 64-bit integer except documented false positives
     (33077785078626881 passes despite being composite).
     """
-    require_u64(n)
+    n = require_u64(n)
     if n == 17:
         return Verdict(True, Stage.small_prime_screen(), 17)
     if n < 9:
@@ -148,7 +148,7 @@ def seven_base_variant(n: int, trace: list[TraceStep] | None = None) -> Verdict:
 def reference_oracle64(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     """Exact primality verdict for any n < 2^64, via the fixed twelve-prime
     base set. Used as trusted ground truth by the verification drivers."""
-    require_u64(n)
+    n = require_u64(n)
     if n < 2:
         return Verdict(False, Stage.even_or_unit())
     for p in ORACLE_BASES:

@@ -11,7 +11,7 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +20,7 @@ from . import kernel
 from .bigrecipes import recipe256, recipe2048
 from .detprime64 import gauss_euler, mr_ge, mr_ge_first_attempt
 from .modarith import U64_MAX
+from .residues import DEFAULT_SEARCH_CAP
 from .sprp import decompose, reference_oracle64, seven_base_variant, sprp_round
 
 # rich (stage-carrying) implementations, for diagnosing any mismatch
@@ -102,58 +103,57 @@ def _algo_callable(algo: str, cap: int | None):
         fn = kernel.ALGORITHMS[algo]
     except KeyError:
         raise ValueError(f"unknown algorithm: {algo!r}") from None
-    if cap is None or algo not in kernel.CAPPED:
-        return fn
-    return lambda n: fn(n, cap)
+    return kernel.bind_cap(algo, fn, cap)
 
-
-def _stage_of(algo: str, n: int, cap: int | None) -> str:
-    rich = RICH_ALGORITHMS[algo]
-    if cap is not None and algo in kernel.CAPPED:
-        return rich(n, cap=cap).stage.describe()
-    return rich(n).stage.describe()
-
-
-def _record(algo: str, n: int, expected_prime: bool, actual_prime: bool,
-            cap: int | None) -> MismatchRecord:
-    return MismatchRecord(
-        n=n,
-        algo=algo,
-        expected="prime" if expected_prime else "composite",
-        actual="prime" if actual_prime else "composite",
-        stage=_stage_of(algo, n, cap),
-    )
-
-
-# --- exhaustive sweep against the sieve -----------------------------------
 
 _worker_sieves: dict[int, bytes] = {}
 
 
-def _sieve_bytes(limit: int) -> bytes:
+def _ground_truth(limit: int | None):
+    """n -> 1/True when n is prime: the sieve of ``limit`` when one is given
+    (cached per process), else the reference oracle."""
+    if limit is None:
+        return kernel.oracle_is_prime
     bm = _worker_sieves.get(limit)
     if bm is None:
-        bm = PrimeSieve(limit).as_bytes()
-        _worker_sieves[limit] = bm
-    return bm
+        bm = _worker_sieves[limit] = PrimeSieve(limit).as_bytes()
+    return bm.__getitem__
 
 
-def _scan_exhaustive(algo: str, lo: int, hi: int, limit: int, cap: int | None):
-    """Worker: return ns in [lo, hi] (odd, plus 2) where algo != sieve."""
+def _disagreements(algo: str, cap: int | None, ns, limit: int | None) -> list[int]:
+    """Worker: the n in ``ns`` where the kernel verdict differs from the
+    ground truth of ``limit``."""
     fn = _algo_callable(algo, cap)
-    bm = _sieve_bytes(limit)
-    bad = []
-    if lo <= 2 <= hi:
-        if fn(2) != (bm[2] == 1):
-            bad.append(2)
-    n = lo if lo % 2 == 1 else lo + 1
-    if n < 3:
-        n = 3
-    while n <= hi:
-        if fn(n) != (bm[n] == 1):
-            bad.append(n)
-        n += 2
-    return bad
+    truth = _ground_truth(limit)
+    return [n for n in ns if fn(n) != truth(n)]
+
+
+def _dispatch(tasks: list[tuple], jobs: int):
+    """Run ``(algo, cap, ns, limit)`` tasks through ``_disagreements`` and
+    yield (task index, disagreements) as each one finishes: in turn in this
+    process when ``jobs <= 1``, else from one pool of ``jobs`` processes."""
+    if jobs <= 1:
+        for i, task in enumerate(tasks):
+            yield i, _disagreements(*task)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futs = {pool.submit(_disagreements, *task): i for i, task in enumerate(tasks)}
+        for fut in as_completed(futs):
+            yield futs[fut], fut.result()
+
+
+def _records(algo: str, cap: int | None, ns, limit: int | None) -> list[MismatchRecord]:
+    truth = _ground_truth(limit)
+    rich = kernel.bind_cap(algo, RICH_ALGORITHMS[algo], cap)
+    labels = ("composite", "prime")
+    return [
+        MismatchRecord(n, algo, labels[bool(truth(n))], labels[not truth(n)],
+                       rich(n).stage.describe())
+        for n in sorted(set(ns))
+    ]
+
+
+# --- exhaustive sweep against the sieve -----------------------------------
 
 
 def exhaustive_verify(
@@ -164,23 +164,14 @@ def exhaustive_verify(
     _algo_callable(algo, cap)  # validate algo up front
     if limit < 2:
         return []
-    _sieve_bytes(limit)  # build in the parent so forked workers share it
-    sv = _sieve_bytes(limit)
-    chunks = _split_range(2, limit, max(jobs, 1) * 4)
-    if jobs <= 1:
-        bad = []
-        for lo, hi in chunks:
-            bad.extend(_scan_exhaustive(algo, lo, hi, limit, cap))
-    else:
-        bad = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [
-                pool.submit(_scan_exhaustive, algo, lo, hi, limit, cap)
-                for lo, hi in chunks
-            ]
-            for f in futs:
-                bad.extend(f.result())
-    return [_record(algo, n, sv[n] == 1, not (sv[n] == 1), cap) for n in sorted(bad)]
+    # n = 2 is checked here, which also builds the sieve before the workers
+    # fork, so they share it
+    bad = _disagreements(algo, cap, (2,), limit)
+    tasks = [(algo, cap, range(lo | 1, hi + 1, 2), limit)
+             for lo, hi in _split_range(3, limit, max(jobs, 1) * 4)]
+    for _, part in _dispatch(tasks, jobs):
+        bad.extend(part)
+    return _records(algo, cap, bad, limit)
 
 
 # --- random sampling against the reference oracle --------------------------
@@ -189,12 +180,6 @@ def exhaustive_verify(
 def random_odd_u64(rng: random.Random) -> int:
     """Uniform odd integer in [3, 2^64)."""
     return 2 * rng.randrange(1, 1 << 63) + 1
-
-
-def _scan_pairs(algo: str, ns: list[int], cap: int | None):
-    fn = _algo_callable(algo, cap)
-    oracle = kernel.oracle_is_prime
-    return [n for n in ns if fn(n) != oracle(n)]
 
 
 def random_verify(
@@ -206,17 +191,12 @@ def random_verify(
     _algo_callable(algo, cap)
     rng = random.Random(seed)
     draws = [random_odd_u64(rng) for _ in range(count)]
-    if jobs <= 1:
-        bad = _scan_pairs(algo, draws, cap)
-    else:
-        step = (len(draws) + jobs - 1) // jobs or 1
-        parts = [draws[i : i + step] for i in range(0, len(draws), step)]
-        bad = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part_bad in pool.map(_scan_pairs, *zip(*[(algo, p, cap) for p in parts])):
-                bad.extend(part_bad)
-    oracle = kernel.oracle_is_prime
-    return [_record(algo, n, oracle(n), not oracle(n), cap) for n in sorted(set(bad))]
+    step = -(-len(draws) // max(jobs, 1)) or 1
+    tasks = [(algo, cap, draws[i : i + step], None) for i in range(0, len(draws), step)]
+    bad = []
+    for _, part in _dispatch(tasks, jobs):
+        bad.extend(part)
+    return _records(algo, cap, bad, None)
 
 
 # --- sharded counterexample search with checkpointing -----------------------
@@ -245,21 +225,8 @@ def _split_range(start: int, end: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-def _scan_vs_oracle(algo: str, lo: int, hi: int, cap: int | None):
-    fn = _algo_callable(algo, cap)
-    oracle = kernel.oracle_is_prime
-    bad = []
-    n = lo if lo % 2 == 1 else lo + 1
-    checked = 0
-    while n <= hi:
-        if fn(n) != oracle(n):
-            bad.append(n)
-        checked += 1
-        n += 2
-    return bad, checked
-
-
-def _load_checkpoint(path: str, shards: list[tuple[int, int]]) -> set[tuple[int, int]]:
+def _load_checkpoint(path: str, shards: list[tuple[int, int]], algo: str,
+                     cap: int | None) -> set[tuple[int, int]]:
     valid = set(shards)
     done: set[tuple[int, int]] = set()
     with open(path, encoding="utf-8") as f:
@@ -270,11 +237,19 @@ def _load_checkpoint(path: str, shards: list[tuple[int, int]]) -> set[tuple[int,
             try:
                 entry = json.loads(line)
                 key = (int(entry["shard_start"]), int(entry["shard_end"]))
+                run = (entry["algo"], entry["cap"])
             except (ValueError, KeyError, TypeError) as exc:
                 raise CheckpointError(
-                    f"{path}:{idx}: unreadable checkpoint line; refusing to "
-                    "resume -- restart explicitly (delete the file)"
+                    f"{path}:{idx}: unreadable checkpoint line (needs "
+                    "shard_start, shard_end, algo and cap); refusing to resume "
+                    "-- restart explicitly (delete the file)"
                 ) from exc
+            if run != (algo, cap):
+                raise CheckpointError(
+                    f"{path}:{idx}: shard was searched with algo={run[0]!r}, "
+                    f"cap={run[1]!r}, not algo={algo!r}, cap={cap!r}; refusing "
+                    "to resume"
+                )
             if key not in valid:
                 raise CheckpointError(
                     f"{path}:{idx}: shard {key} does not belong to this "
@@ -284,11 +259,14 @@ def _load_checkpoint(path: str, shards: list[tuple[int, int]]) -> set[tuple[int,
     return done
 
 
-def _append_checkpoint(path: str, lo: int, hi: int) -> None:
+def _append_checkpoint(path: str, lo: int, hi: int, algo: str,
+                       cap: int | None) -> None:
     line = json.dumps(
         {
             "shard_start": lo,
             "shard_end": hi,
+            "algo": algo,
+            "cap": cap,
             "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
     )
@@ -312,9 +290,10 @@ def search_counterexamples(
     [start, end], in ``shard_count`` shards.
 
     With a checkpoint path, each completed shard is appended as a JSON line
-    (fsynced), and a rerun skips shards already on file -- provided the file
-    matches the requested range and shard layout exactly. ``stop_after_shards``
-    limits how many pending shards this call runs (used to exercise
+    (fsynced) as soon as it finishes, and a rerun skips shards already on
+    file -- provided the file matches the requested algorithm, effective
+    search cap, range and shard layout exactly. ``stop_after_shards`` limits
+    how many pending shards this call runs (used to exercise
     interruption/resume).
     """
     _algo_callable(algo, cap)
@@ -322,42 +301,28 @@ def search_counterexamples(
         raise ValueError("shard_count must be >= 1")
     if not 0 <= start <= end <= U64_MAX:
         raise ValueError("need 0 <= start <= end < 2**64")
+    # the cap the kernel applies, so cap=None and the default compare equal
+    run_cap = None
+    if algo in kernel.CAPPED:
+        run_cap = DEFAULT_SEARCH_CAP if cap is None else cap
     shards = _split_range(start, end, shard_count)
     done: set[tuple[int, int]] = set()
     if checkpoint_path and os.path.exists(checkpoint_path):
-        done = _load_checkpoint(checkpoint_path, shards)
+        done = _load_checkpoint(checkpoint_path, shards, algo, run_cap)
     pending = [sh for sh in shards if sh not in done]
     if stop_after_shards is not None:
         pending = pending[:stop_after_shards]
 
+    tasks = [(algo, cap, range(lo | 1, hi + 1, 2), None) for lo, hi in pending]
     bad_ns: list[int] = []
     checked = 0
-    if jobs <= 1:
-        for lo, hi in pending:
-            bad, c = _scan_vs_oracle(algo, lo, hi, cap)
-            bad_ns.extend(bad)
-            checked += c
-            if checkpoint_path:
-                _append_checkpoint(checkpoint_path, lo, hi)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {
-                pool.submit(_scan_vs_oracle, algo, lo, hi, cap): (lo, hi)
-                for lo, hi in pending
-            }
-            for f, (lo, hi) in futs.items():
-                bad, c = f.result()
-                bad_ns.extend(bad)
-                checked += c
-                if checkpoint_path:
-                    _append_checkpoint(checkpoint_path, lo, hi)
-
-    oracle = kernel.oracle_is_prime
-    records = [
-        _record(algo, n, oracle(n), not oracle(n), cap) for n in sorted(bad_ns)
-    ]
+    for i, part in _dispatch(tasks, jobs):
+        bad_ns.extend(part)
+        checked += len(tasks[i][2])
+        if checkpoint_path:
+            _append_checkpoint(checkpoint_path, *pending[i], algo, run_cap)
     return SearchReport(
-        mismatches=records,
+        mismatches=_records(algo, cap, bad_ns, None),
         shards_total=len(shards),
         shards_skipped=len(done),
         shards_run=len(pending),
@@ -453,15 +418,7 @@ CORPUS: tuple[CorpusEntry, ...] = (
     ),
 )
 
-_CORPUS_ALGOS = {
-    "oracle": reference_oracle64,
-    "ge": gauss_euler,
-    "mrge": mr_ge,
-    "first": mr_ge_first_attempt,
-    "mr7": seven_base_variant,
-    "recipe256": recipe256,
-    "recipe2048": recipe2048,
-}
+_CORPUS_ALGOS = {**RICH_ALGORITHMS, "recipe256": recipe256, "recipe2048": recipe2048}
 
 
 @dataclass(frozen=True)

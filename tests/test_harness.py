@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -161,6 +162,26 @@ def test_cli_search_checkpoint_corruption(tmp_path, capsys):
          "--shards", "2", "--checkpoint", str(ck)]
     )
     assert rc == 2
+
+
+def test_cli_checkpoint_from_another_run(tmp_path, monkeypatch, capsys):
+    argv = ["search", "--from", "3", "--to", "100001", "--shards", "4",
+            "--checkpoint", str(tmp_path / "x.ckpt")]
+    assert main(argv + ["--algo", "ge"]) == 0
+    assert main(argv + ["--algo", "mr7"]) == 2
+    monkeypatch.setenv("PRIME_SEARCH_CAP", "5")
+    assert main(argv + ["--algo", "ge"]) == 2
+    assert "refusing to resume" in capsys.readouterr().err
+
+
+def test_cli_crashed_worker_is_not_a_usage_error(monkeypatch, capsys):
+    parent, real = os.getpid(), kernel.ALGORITHMS["ge"]
+    monkeypatch.setitem(
+        kernel.ALGORITHMS, "ge",
+        lambda n, *a: real(n, *a) if os.getpid() == parent else os._exit(1),
+    )
+    assert main(["verify", "--algo", "ge", "--limit", "1000", "--jobs", "2"]) == 3
+    assert "error: a worker process crashed" in capsys.readouterr().err
 
 
 def test_cli_corpus(capsys):

@@ -1,7 +1,9 @@
 import json
 import math
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from primekit import kernel
@@ -10,6 +12,7 @@ from primekit.verification import (
     CORPUS,
     CheckpointError,
     MismatchRecord,
+    RICH_ALGORITHMS,
     PrimeSieve,
     corpus_verify,
     exhaustive_verify,
@@ -164,7 +167,8 @@ def test_checkpoint_lines_format(tmp_path):
     assert len(lines) == 2
     for line in lines:
         obj = json.loads(line)
-        assert set(obj) == {"shard_start", "shard_end", "completed_at"}
+        assert set(obj) == {"shard_start", "shard_end", "algo", "cap", "completed_at"}
+        assert obj["algo"] == "ge" and obj["cap"] == 1000
         assert re.match(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}", obj["completed_at"])
 
 
@@ -182,6 +186,65 @@ def test_checkpoint_layout_mismatch_refuses_resume(tmp_path):
         search_counterexamples("ge", 3, 1001, 4, checkpoint_path=ck)
     with pytest.raises(CheckpointError):
         search_counterexamples("ge", 3, 2001, 2, checkpoint_path=ck)
+
+
+def test_checkpoint_from_another_run_refuses_resume(tmp_path):
+    ck = str(tmp_path / "search.ckpt")
+    search_counterexamples("ge", 3, 1001, 2, checkpoint_path=ck)
+    for algo, cap in (("mr7", None), ("mrge", None), ("ge", 5)):
+        with pytest.raises(CheckpointError):
+            search_counterexamples(algo, 3, 1001, 2, checkpoint_path=ck, cap=cap)
+    # cap=None is the default cap the CLI passes explicitly
+    again = search_counterexamples("ge", 3, 1001, 2, checkpoint_path=ck, cap=1000)
+    assert again.shards_skipped == 2 and again.checked == 0
+
+    # a cap-less algorithm records cap null and resumes only under itself
+    ck7 = str(tmp_path / "mr7.ckpt")
+    search_counterexamples("mr7", 3, 1001, 2, checkpoint_path=ck7, cap=1000)
+    assert [json.loads(line)["cap"] for line in open(ck7)] == [None, None]
+    assert search_counterexamples("mr7", 3, 1001, 2, checkpoint_path=ck7).shards_skipped == 2
+    with pytest.raises(CheckpointError):
+        search_counterexamples("ge", 3, 1001, 2, checkpoint_path=ck7)
+
+
+def test_checkpoint_without_run_fields_refuses_resume(tmp_path):
+    fields = {"shard_start": 3, "shard_end": 502, "algo": "ge", "cap": 1000,
+              "completed_at": "2024-01-01T00:00:00"}
+    for missing in ("algo", "cap"):
+        ck = tmp_path / f"no-{missing}.ckpt"
+        ck.write_text(json.dumps({k: v for k, v in fields.items() if k != missing}) + "\n")
+        with pytest.raises(CheckpointError):
+            search_counterexamples("ge", 3, 1001, 2, checkpoint_path=str(ck))
+
+
+def test_checkpoint_resume_with_a_process_pool(tmp_path):
+    ck = str(tmp_path / "search.ckpt")
+    first = search_counterexamples("ge", 3, 20001, 8, checkpoint_path=ck, jobs=2,
+                                   stop_after_shards=3)
+    lines = [json.loads(line) for line in open(ck)]
+    assert len({(e["shard_start"], e["shard_end"]) for e in lines}) == len(lines) == 3
+
+    second = search_counterexamples("ge", 3, 20001, 8, checkpoint_path=ck, jobs=2)
+    assert second.shards_skipped == 3 and second.shards_run == 5
+    assert first.checked + second.checked == len(range(3, 20002, 2))
+
+    third = search_counterexamples("ge", 3, 20001, 8, checkpoint_path=ck, jobs=2)
+    assert third.shards_run == 0 and third.checked == 0
+
+
+@pytest.mark.parametrize("algo", sorted(RICH_ALGORITHMS))
+def test_rich_tests_validate_input_like_the_kernels(algo):
+    fn = RICH_ALGORITHMS[algo]
+    for bad in (5.0, 1e18 + 9.0):
+        with pytest.raises(TypeError):
+            fn(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow on the way
+        for n in (97, 341, 1000000007, 33077785078626881, 17364052083370132981,
+                  2**64 - 59):
+            want, got = fn(n), fn(np.uint64(n))
+            assert (got.is_prime, got.stage.describe()) == (
+                want.is_prime, want.stage.describe()), (algo, n)
 
 
 def test_corpus_entries_reproduce():
