@@ -1,8 +1,10 @@
 /* Compiled 64-bit kernel: the hot paths of every test.
  *
- * Same functions and semantics as primekit._pykernel; products and square
- * comparisons go through 128-bit intermediates so the full uint64 range is
- * safe. Stage-carrying logic stays in the Python layer; these return bools.
+ * Same functions as primekit._pykernel. The reference semantics are the
+ * rich tests in primekit.detprime64 and primekit.sprp, and the verdicts
+ * are tested against them. Products and square comparisons go through
+ * 128-bit intermediates so the full uint64 range is safe. Stage-carrying
+ * logic stays in the Python layer; these return bools.
  * Entry points take positional arguments only.
  */
 
@@ -375,7 +377,8 @@ static PyModuleDef_Slot slots[] = {
 static struct PyModuleDef kernel_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "primekit._kernel64",
-    .m_doc = "Compiled 64-bit kernel; same functions as primekit._pykernel.",
+    .m_doc = "Compiled 64-bit kernel; verdicts of the rich tests in "
+             "primekit.detprime64 and primekit.sprp.",
     .m_methods = methods,
     .m_slots = slots,
 };

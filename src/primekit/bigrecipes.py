@@ -10,10 +10,10 @@ recorded result used.
 """
 
 from dataclasses import dataclass
+from operator import index
 
-from .detprime64 import _reciprocity_stages, _StepLog
+from .detprime64 import reciprocity_checks
 from .residues import (
-    ABORT,
     DEFAULT_SEARCH_CAP,
     FORM_4K1,
     FORM_4K3,
@@ -24,7 +24,7 @@ from .residues import (
     Form,
     is_small_prime,
 )
-from .sprp import BaseSpec, Literal, SqrtDerived, decompose, resolve_base, sprp_round
+from .sprp import BaseSpec, Literal, SqrtDerived, mr_with_schedule
 from .verdicts import Stage, TraceStep, Verdict
 
 
@@ -65,26 +65,19 @@ def run_recipe(
 
     The base isqrt(n) is in every recipe, which structurally rejects
     perfect squares before the form searches (where a square could never
-    find a -1 symbol).
+    find a -1 symbol). ``n`` and ``cap`` must be integers: a float raises
+    TypeError, as on the 64-bit paths.
     """
+    n, cap = index(n), index(cap)
     if n < 0:
         raise ValueError("n must be >= 0")
     v = _screen_small(n)
     if v is not None:
         return v
-    d = decompose(n)
-    log = _StepLog(trace, keep_going=False)
-    for spec in recipe.mr_bases:
-        base = resolve_base(spec, n)
-        if base <= 0 or base % n == 0:
-            continue  # unusable resolution (only happens for tiny n)
-        ok = sprp_round(n, base % n, d)
-        if not log.step(Stage.mr_round(base), None, ok, witness=base):
-            return log.finish()
-    short = _reciprocity_stages(n, recipe.reciprocity_forms, cap, ABORT, log)
-    if short is not None:
-        return short
-    return log.finish()
+    v = mr_with_schedule(n, recipe.mr_bases, trace)
+    if not v.is_prime:
+        return v
+    return reciprocity_checks(n, recipe.reciprocity_forms, cap, trace)
 
 
 def recipe256(n: int, cap: int = DEFAULT_SEARCH_CAP, trace=None) -> Verdict:

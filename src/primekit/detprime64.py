@@ -18,58 +18,39 @@ full 64-bit exactness is a conjecture the verification module probes, not
 a proven fact.
 """
 
-from . import residues
-from .modarith import isqrt, powmod, require_u64
+from functools import cache
+from math import isqrt
+from operator import index
+
+from .modarith import require_u64
 from .residues import (
     ABORT,
     DEFAULT_SEARCH_CAP,
     DIVISOR,
-    EXHAUSTED,
     FORM_4K1,
     FORM_4K3,
     FORM_8K1,
     FORM_8K5,
+    FOUND,
     SELF_PRIME,
     Form,
+    is_small_prime,
     legendre_two,
     required_euler_residue,
+    smallest_nonresidue_prime,
 )
-from .sprp import decompose, sprp_round
+from .sprp import strong_rounds
 from .verdicts import Stage, TraceStep, Verdict
+
+_EVEN_OR_UNIT = Stage.even_or_unit()
+_SMALL_PRIME_SCREEN = Stage.small_prime_screen()
+_MOD8_EULER = Stage.mod8_euler()
+_MOD8_FAILURE = Verdict(False, _MOD8_EULER, 2)
 
 
 class SearchCapExceeded(RuntimeError):
     """The nonresidue search ran out of candidates: a hard failure, never a
     verdict (legitimate inputs find a prime within a handful of tries)."""
-
-
-class _StepLog:
-    """Collects trace steps and the first failure.
-
-    With keep_going the caller evaluates later stages after a failure (for
-    diagnostics); the verdict stays pinned to the first failing stage.
-    """
-
-    def __init__(self, trace: list[TraceStep] | None, keep_going: bool):
-        self.trace = trace
-        self.keep_going = keep_going
-        self.failure: Verdict | None = None
-        self.final_stage: Stage = Stage.small_prime_screen()
-        self.final_witness: int | None = None
-
-    def step(self, stage: Stage, value, ok: bool, witness: int | None = None) -> bool:
-        """Record one stage; returns False when evaluation should stop."""
-        if self.trace is not None:
-            self.trace.append(TraceStep(stage, value, ok))
-        if ok:
-            self.final_stage = stage
-            self.final_witness = witness
-        elif self.failure is None:
-            self.failure = Verdict(False, stage, witness)
-        return ok or self.keep_going
-
-    def finish(self) -> Verdict:
-        return self.failure or Verdict(True, self.final_stage, self.final_witness)
 
 
 def euler_criterion_check(n: int, a: int) -> tuple[int, int]:
@@ -78,7 +59,7 @@ def euler_criterion_check(n: int, a: int) -> tuple[int, int]:
     Returns (sign, residue): sign +1 for residue 1, -1 for residue n-1, and
     0 for anything else. A prime n gives +-1 for every base coprime to it.
     """
-    r = powmod(a, (n - 1) >> 1, n)
+    r = pow(a, (n - 1) >> 1, n)
     if r == 1:
         return 1, r
     if r == n - 1:
@@ -89,9 +70,7 @@ def euler_criterion_check(n: int, a: int) -> tuple[int, int]:
 def gauss_euler(
     n: int,
     cap: int = DEFAULT_SEARCH_CAP,
-    divisor_policy: str = ABORT,
     trace: list[TraceStep] | None = None,
-    keep_going: bool = False,
 ) -> Verdict:
     """Gauss-Euler primality verdict for 0 <= n < 2^64.
 
@@ -99,37 +78,36 @@ def gauss_euler(
     misbehaves when the searched prime can reach n itself, so tiny inputs
     are screened rather than special-cased downstream.
     """
-    n = require_u64(n)
+    n, cap = require_u64(n), index(cap)
     v = _screen(n, small_limit=100)
     if v is not None:
         return v
-    log = _StepLog(trace, keep_going)
     e = (n - 1) >> 1
 
-    want = 1 if legendre_two(n) == 1 else n - 1
-    r = powmod(2, e, n)
-    if not log.step(Stage.mod8_euler(), r, r == want, witness=2):
-        return log.finish()
+    r = pow(2, e, n)
+    ok = r == (1 if legendre_two(n) == 1 else n - 1)
+    if trace is not None:
+        trace.append(TraceStep(_MOD8_EULER, r, ok))
+    if not ok:
+        return _MOD8_FAILURE
 
     m = isqrt(n)
     h = isqrt(n >> 1)
     for a in (m, m + 1, h, h + 1):
         sign, r = euler_criterion_check(n, a)
-        if not log.step(Stage.sqrt_base(a), r, sign != 0, witness=a):
-            return log.finish()
+        ok = sign != 0
+        if trace is not None:
+            trace.append(TraceStep(Stage.sqrt_base(a), r, ok))
+        if not ok:
+            return Verdict(False, Stage.sqrt_base(a), a)
 
-    short = _reciprocity_stages(n, (FORM_8K5, FORM_8K1), cap, divisor_policy, log)
-    if short is not None:
-        return short
-    return log.finish()
+    return reciprocity_checks(n, (FORM_8K5, FORM_8K1), cap, trace)
 
 
 def mr_ge(
     n: int,
     cap: int = DEFAULT_SEARCH_CAP,
-    divisor_policy: str = ABORT,
     trace: list[TraceStep] | None = None,
-    keep_going: bool = False,
 ) -> Verdict:
     """MR-GE primality verdict for 0 <= n < 2^64.
 
@@ -137,110 +115,103 @@ def mr_ge(
     isqrt(n) itself, so squares are not structurally excluded, and the
     4k+3 search cannot terminate with -1 on a square.
     """
-    n = require_u64(n)
+    n, cap = require_u64(n), index(cap)
     v = _screen(n, small_limit=9)
     if v is not None:
         return v
-    log = _StepLog(trace, keep_going)
 
     m = isqrt(n)
     if m * m == n:
-        if not log.step(Stage.divisor_found(m), m, False, witness=m):
-            return log.finish()
+        stage = Stage.divisor_found(m)
+        if trace is not None:
+            trace.append(TraceStep(stage, m, False))
+        return Verdict(False, stage, m)
     h = isqrt(n >> 1)
-    d = decompose(n)
-    for a in (2, m - 1, m + 1, h - 1, h + 1):
-        ok = sprp_round(n, a, d)
-        if not log.step(Stage.mr_round(a), None, ok, witness=a):
-            return log.finish()
-
-    short = _reciprocity_stages(n, (FORM_4K3,), cap, divisor_policy, log)
-    if short is not None:
-        return short
-    return log.finish()
+    v = strong_rounds(n, (2, m - 1, m + 1, h - 1, h + 1), trace)
+    if v is not None:
+        return v
+    return reciprocity_checks(n, (FORM_4K3,), cap, trace)
 
 
 def mr_ge_first_attempt(
     n: int,
     cap: int = DEFAULT_SEARCH_CAP,
-    divisor_policy: str = ABORT,
     trace: list[TraceStep] | None = None,
-    keep_going: bool = False,
 ) -> Verdict:
     """The rejected first MR-GE design; 17364052083370132981 (composite)
     passes it. Retained so that falsification stays reproducible."""
-    n = require_u64(n)
+    n, cap = require_u64(n), index(cap)
     v = _screen(n, small_limit=9)
     if v is not None:
         return v
-    log = _StepLog(trace, keep_going)
 
     m = isqrt(n)
     h = isqrt(n >> 1)
-    d = decompose(n)
-    for a in (2, m, m + 1, h, h + 1):
-        ok = sprp_round(n, a, d)
-        if not log.step(Stage.mr_round(a), None, ok, witness=a):
-            return log.finish()
-
-    short = _reciprocity_stages(n, (FORM_4K1,), cap, divisor_policy, log)
-    if short is not None:
-        return short
-    return log.finish()
+    v = strong_rounds(n, (2, m, m + 1, h, h + 1), trace)
+    if v is not None:
+        return v
+    return reciprocity_checks(n, (FORM_4K1,), cap, trace)
 
 
-def _reciprocity_stages(
+def reciprocity_checks(
     n: int,
     forms: tuple[Form, ...],
     cap: int,
-    divisor_policy: str,
-    log: _StepLog,
-) -> Verdict | None:
-    """Run the form searches and their Euler checks through the log.
+    trace: list[TraceStep] | None = None,
+) -> Verdict:
+    """The form searches and their Euler checks; the final verdict.
 
-    Returns a verdict only when evaluation must end early (short-circuited
-    failure, or a search that reached n itself and thereby proved it
-    prime); otherwise returns None and the caller finishes the log.
+    For each form (at least one), the smallest prime p with (n/p) = -1
+    must give p^((n-1)/2) = (p/n) mod n. Composite at the first failing
+    check or at a divisor the search meets; prime when every check passes,
+    or when the search reaches n itself and thereby proves it prime.
     """
     e = (n - 1) >> 1
     for form in forms:
-        res = residues.smallest_nonresidue_prime(n, form, divisor_policy, cap)
-        if res.status == EXHAUSTED:
-            if log.failure is not None:
-                # already composite (e.g. a square under keep_going); the
-                # stalled search is expected there, not a hard failure
-                continue
+        res = smallest_nonresidue_prime(n, form, ABORT, cap)
+        status, p = res.status, res.prime
+        if status == FOUND:
+            r = pow(p, e, n)
+            ok = r == required_euler_residue(n, p)
+            v = _reciprocity_verdict(form, p, ok)
+            if trace is not None:
+                trace.append(TraceStep(v.stage, r, ok))
+            if not ok:
+                return v
+        elif status == SELF_PRIME:
+            if trace is not None:
+                trace.append(TraceStep(_SMALL_PRIME_SCREEN, p, True))
+            return Verdict(True, _SMALL_PRIME_SCREEN, p)
+        elif status == DIVISOR:
+            stage = Stage.divisor_found(p)
+            if trace is not None:
+                trace.append(TraceStep(stage, p, False))
+            return Verdict(False, stage, p)
+        else:
             raise SearchCapExceeded(
                 f"no {form} prime with (n/p) = -1 within {cap} candidates for n={n}"
             )
-        if res.status == SELF_PRIME:
-            # the trial-division walk reached n: n is prime
-            log.step(Stage.small_prime_screen(), res.prime, True, witness=res.prime)
-            return log.failure or Verdict(True, Stage.small_prime_screen(), res.prime)
-        if res.status == DIVISOR:
-            if not log.step(Stage.divisor_found(res.prime), res.prime, False, witness=res.prime):
-                return log.finish()
-            continue  # keep_going: no reciprocity prime to check for this form
-        p = res.prime
-        r = powmod(p, e, n)
-        need = required_euler_residue(n, p)
-        if not log.step(Stage.reciprocity(form, p), r, r == need, witness=p):
-            return log.finish()
-    return None
+    return v
+
+
+@cache
+def _reciprocity_verdict(form: Form, p: int, passed: bool) -> Verdict:
+    # depends on the form and p only, so each is built once
+    return Verdict(passed, Stage.reciprocity(form, p), p)
 
 
 def _screen(n: int, small_limit: int) -> Verdict | None:
     """Shared plumbing screens; None means n proceeds to the main stages."""
     if n < 2:
-        return Verdict(False, Stage.even_or_unit())
+        return Verdict(False, _EVEN_OR_UNIT)
     if n == 2:
-        return Verdict(True, Stage.small_prime_screen(), 2)
+        return Verdict(True, _SMALL_PRIME_SCREEN, 2)
     if n % 2 == 0:
-        return Verdict(False, Stage.even_or_unit(), 2)
+        return Verdict(False, _EVEN_OR_UNIT, 2)
     if n < small_limit:
-        if residues.is_small_prime(n):
-            return Verdict(True, Stage.small_prime_screen(), n)
-        return Verdict(False, Stage.small_prime_screen(), _smallest_odd_factor(n))
+        if is_small_prime(n):
+            return Verdict(True, _SMALL_PRIME_SCREEN, n)
+        return Verdict(False, _SMALL_PRIME_SCREEN, _smallest_odd_factor(n))
     return None
 
 

@@ -133,18 +133,21 @@ def smallest_nonresidue_prime(
     """
     if divisor_policy not in (SKIP, ABORT):
         raise ValueError(f"unknown divisor policy: {divisor_policy!r}")
+    abort = divisor_policy == ABORT
     candidate = form.first_candidate
+    step = form.modulus
     inspected = 0
     while inspected < cap:
         inspected += 1
         if is_small_prime(candidate):
-            symbol = legendre(n, candidate)
-            if symbol == -1:
+            # legendre(n, candidate), without re-checking the odd prime
+            symbol = pow(n % candidate, candidate >> 1, candidate)
+            if symbol == candidate - 1:
                 return SearchResult(FOUND, candidate, inspected)
-            if symbol == 0 and divisor_policy == ABORT:
+            if symbol == 0 and abort:
                 status = SELF_PRIME if candidate == n else DIVISOR
                 return SearchResult(status, candidate, inspected)
-        candidate += form.modulus
+        candidate += step
     return SearchResult(EXHAUSTED, None, inspected)
 
 

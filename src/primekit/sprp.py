@@ -6,10 +6,15 @@ square root of 1 or when the chain does not end at 1. That is equivalent to
 the usual strong-probable-prime condition.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from math import isqrt
 
-from .modarith import isqrt, mulmod, powmod, require_u64
+from .modarith import require_u64
 from .verdicts import Stage, TraceStep, Verdict
+
+_SMALL_PRIME_SCREEN = Stage.small_prime_screen()
+_BASE2_FAILURE = Verdict(False, Stage.mr_round(2), 2)
 
 
 @dataclass(frozen=True)
@@ -33,9 +38,9 @@ def sprp_round(n: int, a: int, d: Decomposition | None = None) -> bool:
     """One strong-probable-prime round to base a, 1 <= a < n, odd n >= 3."""
     if d is None:
         d = decompose(n)
-    b = powmod(a, d.t, n)
+    b = pow(a, d.t, n)
     for _ in range(d.s):
-        k = mulmod(b, b, n)
+        k = b * b % n
         if k == 1 and b != 1 and b != n - 1:
             return False
         b = k
@@ -76,25 +81,12 @@ SEVEN_BASE_SCHEDULE: tuple[BaseSpec, ...] = (
     SqrtDerived(2, 1),
 )
 
-MR_GE_SCHEDULE: tuple[BaseSpec, ...] = (
-    Literal(2),
-    SqrtDerived(1, -1),
-    SqrtDerived(1, 1),
-    SqrtDerived(2, -1),
-    SqrtDerived(2, 1),
-)
-
-FIRST_ATTEMPT_SCHEDULE: tuple[BaseSpec, ...] = (
-    Literal(2),
-    SqrtDerived(1, 0),
-    SqrtDerived(1, 1),
-    SqrtDerived(2, 0),
-    SqrtDerived(2, 1),
-)
-
 # Deterministic below 2^64 per prior literature on fixed Miller-Rabin base
 # sets; external knowledge, independent of the tests under study here.
 ORACLE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_ORACLE_SMALL_PRIMES = {p: Verdict(True, _SMALL_PRIME_SCREEN, p) for p in ORACLE_BASES}
+_ORACLE_DIVISORS = {p: Verdict(False, Stage.divisor_found(p), p) for p in ORACLE_BASES}
+_ORACLE_PRIME = Verdict(True, Stage.mr_round(ORACLE_BASES[-1]))
 
 
 def mr_with_schedule(
@@ -109,23 +101,34 @@ def mr_with_schedule(
     if n < 2:
         return Verdict(False, Stage.even_or_unit())
     if n == 2:
-        return Verdict(True, Stage.small_prime_screen(), 2)
+        return Verdict(True, _SMALL_PRIME_SCREEN, 2)
     if n % 2 == 0:
         return Verdict(False, Stage.even_or_unit(), 2)
+    bases = [b for b in (resolve_base(spec, n) for spec in schedule) if b > 0 and b % n]
+    v = strong_rounds(n, bases, trace)
+    if v is not None:
+        return v
+    return Verdict(True, Stage.mr_round(bases[-1]) if bases else _SMALL_PRIME_SCREEN)
+
+
+def strong_rounds(
+    n: int, bases: Iterable[int], trace: list[TraceStep] | None = None
+) -> Verdict | None:
+    """Rounds to each base in order, reduced mod n, for odd n >= 3.
+
+    Returns the composite verdict of the first failing round, or None when
+    every round passes. No base may be a multiple of n.
+    """
     d = decompose(n)
-    last_stage = Stage.small_prime_screen()
-    for spec in schedule:
-        base = resolve_base(spec, n)
-        if base <= 0 or base % n == 0:
-            continue
-        stage = Stage.mr_round(base)
+    for base in bases:
         ok = sprp_round(n, base % n, d)
         if trace is not None:
-            trace.append(TraceStep(stage, None, ok))
+            trace.append(TraceStep(Stage.mr_round(base), None, ok))
         if not ok:
-            return Verdict(False, stage, base)
-        last_stage = stage
-    return Verdict(True, last_stage)
+            if base == 2:
+                return _BASE2_FAILURE
+            return Verdict(False, Stage.mr_round(base), base)
+    return None
 
 
 def seven_base_variant(n: int, trace: list[TraceStep] | None = None) -> Verdict:
@@ -153,18 +156,9 @@ def reference_oracle64(n: int, trace: list[TraceStep] | None = None) -> Verdict:
         return Verdict(False, Stage.even_or_unit())
     for p in ORACLE_BASES:
         if n % p == 0:
-            if n == p:
-                return Verdict(True, Stage.small_prime_screen(), p)
-            return Verdict(False, Stage.divisor_found(p), p)
-    d = decompose(n)
-    for a in ORACLE_BASES:
-        stage = Stage.mr_round(a)
-        ok = sprp_round(n, a, d)
-        if trace is not None:
-            trace.append(TraceStep(stage, None, ok))
-        if not ok:
-            return Verdict(False, stage, a)
-    return Verdict(True, Stage.mr_round(ORACLE_BASES[-1]))
+            return _ORACLE_SMALL_PRIMES[p] if n == p else _ORACLE_DIVISORS[p]
+    v = strong_rounds(n, ORACLE_BASES, trace)
+    return _ORACLE_PRIME if v is None else v
 
 
 def _small_screen(n: int) -> Verdict:

@@ -1,5 +1,7 @@
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from primekit.bigrecipes import RECIPE_256, RECIPE_2048, recipe256, recipe2048
@@ -93,3 +95,19 @@ def test_wider_than_nominal_accepted():
     n = (1 << 300) + 7
     v = recipe256(n)  # soft bound: wider inputs are fine
     assert v.label in ("prime", "composite")
+
+
+def test_recipes_validate_input_like_the_64bit_paths():
+    for fn in (recipe256, recipe2048):
+        for bad in (5.0, 1e18 + 9.0):
+            with pytest.raises(TypeError):
+                fn(bad)
+        with pytest.raises(TypeError):
+            fn(101, 5.0)
+        with pytest.raises(ValueError):
+            fn(np.int64(-5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow on the way
+            for n in (97, 1000000007, 33077785078626881, 2**64 - 59):
+                assert fn(np.uint64(n)) == fn(n), (fn.__name__, n)
+            assert fn(10**9 + 7, np.int64(50)) == fn(10**9 + 7, 50)

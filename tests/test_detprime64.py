@@ -8,7 +8,6 @@ from primekit.detprime64 import (
     mr_ge_first_attempt,
 )
 from primekit.modarith import isqrt
-from primekit.residues import SKIP
 from primekit.verdicts import (
     DIVISOR_FOUND,
     EVEN_OR_UNIT,
@@ -141,16 +140,6 @@ def test_trace_short_circuits_by_default():
     assert trace[0].stage.kind == MOD8_EULER and not trace[0].passed
 
 
-def test_trace_keep_going_records_later_stages():
-    trace = []
-    v = gauss_euler(341, trace=trace, keep_going=True)
-    assert not v.is_prime
-    assert v.stage.kind == MOD8_EULER  # verdict pinned to the first failure
-    assert len(trace) > 1
-    kinds = [t.stage.kind for t in trace]
-    assert SQRT_BASE in kinds
-
-
 def test_trace_shows_passed_stages_before_failure():
     trace = []
     v = gauss_euler(6164578258027337, trace=trace)
@@ -159,18 +148,6 @@ def test_trace_shows_passed_stages_before_failure():
     assert [t.passed for t in trace] == [True] * 6 + [False]
     assert trace[5].stage.kind == RECIPROCITY and str(trace[5].stage.form) == "8k+5"
     assert trace[6].stage.kind == RECIPROCITY and str(trace[6].stage.form) == "8k+1"
-
-
-def test_keep_going_square_does_not_raise():
-    trace = []
-    v = mr_ge(225, trace=trace, keep_going=True)
-    assert not v.is_prime and v.stage.kind == DIVISOR_FOUND
-
-
-def test_divisor_policy_skip_keeps_primes_prime():
-    for n in (101, 997, 10**18 + 3):
-        assert gauss_euler(n, divisor_policy=SKIP).is_prime
-        assert mr_ge(n, divisor_policy=SKIP).is_prime
 
 
 def test_exhausted_search_is_an_error_not_a_verdict():

@@ -3,8 +3,6 @@ import random
 import pytest
 
 from primekit.sprp import (
-    FIRST_ATTEMPT_SCHEDULE,
-    MR_GE_SCHEDULE,
     ORACLE_BASES,
     SEVEN_BASE_SCHEDULE,
     Literal,
@@ -76,8 +74,6 @@ def test_primes_pass_sampled_bases(sieve_bytes):
 
 def test_schedule_shapes():
     assert len(SEVEN_BASE_SCHEDULE) == 7
-    assert len(MR_GE_SCHEDULE) == 5
-    assert len(FIRST_ATTEMPT_SCHEDULE) == 5
     assert SEVEN_BASE_SCHEDULE[:3] == (Literal(2), Literal(5), Literal(17))
 
 

@@ -245,6 +245,11 @@ def test_rich_tests_validate_input_like_the_kernels(algo):
             want, got = fn(n), fn(np.uint64(n))
             assert (got.is_prime, got.stage.describe()) == (
                 want.is_prime, want.stage.describe()), (algo, n)
+    if algo in kernel.CAPPED:
+        with pytest.raises(TypeError):
+            fn(101, 5.0)
+        for n in (101, 341, 10**18 + 3):
+            assert fn(n, np.int64(50)) == fn(n, 50), (algo, n)
 
 
 def test_corpus_entries_reproduce():
