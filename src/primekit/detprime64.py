@@ -196,7 +196,8 @@ def reciprocity_checks(
 
 @cache
 def _reciprocity_verdict(form: Form, p: int, passed: bool) -> Verdict:
-    # depends on the form and p only, so each is built once
+    # depends on the form and p only; p is a small prime (the first
+    # nonresidue in its progression), so the cache stays small
     return Verdict(passed, Stage.reciprocity(form, p), p)
 
 

@@ -6,7 +6,7 @@ square root of 1 or when the chain does not end at 1. That is equivalent to
 the usual strong-probable-prime condition.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -84,7 +84,6 @@ SEVEN_BASE_SCHEDULE: tuple[BaseSpec, ...] = (
 # Deterministic below 2^64 per prior literature on fixed Miller-Rabin base
 # sets; external knowledge, independent of the tests under study here.
 ORACLE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_ORACLE_SMALL_PRIMES = {p: Verdict(True, _SMALL_PRIME_SCREEN, p) for p in ORACLE_BASES}
 _ORACLE_DIVISORS = {p: Verdict(False, Stage.divisor_found(p), p) for p in ORACLE_BASES}
 _ORACLE_PRIME = Verdict(True, Stage.mr_round(ORACLE_BASES[-1]))
 
@@ -104,11 +103,20 @@ def mr_with_schedule(
         return Verdict(True, _SMALL_PRIME_SCREEN, 2)
     if n % 2 == 0:
         return Verdict(False, Stage.even_or_unit(), 2)
-    bases = [b for b in (resolve_base(spec, n) for spec in schedule) if b > 0 and b % n]
-    v = strong_rounds(n, bases, trace)
+    v = strong_rounds(n, _usable_bases(n, schedule), trace)
     if v is not None:
         return v
-    return Verdict(True, Stage.mr_round(bases[-1]) if bases else _SMALL_PRIME_SCREEN)
+    # the verdict names the last round run
+    last = next(_usable_bases(n, reversed(schedule)), None)
+    return Verdict(True, _SMALL_PRIME_SCREEN if last is None else Stage.mr_round(last))
+
+
+def _usable_bases(n: int, schedule: tuple[BaseSpec, ...]) -> Iterator[int]:
+    # resolved one at a time, so a composite pays only for the rounds it runs
+    for spec in schedule:
+        base = resolve_base(spec, n)
+        if base > 0 and base % n:
+            yield base
 
 
 def strong_rounds(
@@ -156,7 +164,9 @@ def reference_oracle64(n: int, trace: list[TraceStep] | None = None) -> Verdict:
         return Verdict(False, Stage.even_or_unit())
     for p in ORACLE_BASES:
         if n % p == 0:
-            return _ORACLE_SMALL_PRIMES[p] if n == p else _ORACLE_DIVISORS[p]
+            if n == p:
+                return Verdict(True, _SMALL_PRIME_SCREEN, p)
+            return _ORACLE_DIVISORS[p]
     v = strong_rounds(n, ORACLE_BASES, trace)
     return _ORACLE_PRIME if v is None else v
 
