@@ -133,9 +133,7 @@ def smallest_nonresidue_prime(
     """
     if divisor_policy not in (SKIP, ABORT):
         raise ValueError(f"unknown divisor policy: {divisor_policy!r}")
-    abort = divisor_policy == ABORT
     candidate = form.first_candidate
-    step = form.modulus
     inspected = 0
     while inspected < cap:
         inspected += 1
@@ -144,10 +142,10 @@ def smallest_nonresidue_prime(
             symbol = pow(n % candidate, candidate >> 1, candidate)
             if symbol == candidate - 1:
                 return SearchResult(FOUND, candidate, inspected)
-            if symbol == 0 and abort:
+            if symbol == 0 and divisor_policy == ABORT:
                 status = SELF_PRIME if candidate == n else DIVISOR
                 return SearchResult(status, candidate, inspected)
-        candidate += step
+        candidate += form.modulus
     return SearchResult(EXHAUSTED, None, inspected)
 
 

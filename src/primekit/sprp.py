@@ -111,7 +111,7 @@ def mr_with_schedule(
     return Verdict(True, _SMALL_PRIME_SCREEN if last is None else Stage.mr_round(last))
 
 
-def _usable_bases(n: int, schedule: tuple[BaseSpec, ...]) -> Iterator[int]:
+def _usable_bases(n: int, schedule: Iterable[BaseSpec]) -> Iterator[int]:
     # resolved one at a time, so a composite pays only for the rounds it runs
     for spec in schedule:
         base = resolve_base(spec, n)
