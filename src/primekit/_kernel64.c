@@ -275,6 +275,25 @@ static PyObject *modular(const char *name, uint64_t (*op)(uint64_t, uint64_t, ui
     return PyLong_FromUnsignedLongLong(op(a, b, m));
 }
 
+/* Raise the pure path's primekit.detprime64.SearchCapExceeded, so both
+   backends raise the same error. The class is looked up when raised, not
+   at module init: primekit.kernel loads this module while the package is
+   still importing. */
+static PyObject *search_cap_exceeded(uint64_t n, uint64_t cap)
+{
+    PyObject *module, *cls;
+    if (!(module = PyImport_ImportModule("primekit.detprime64")))
+        return NULL;
+    cls = PyObject_GetAttrString(module, "SearchCapExceeded");
+    Py_DECREF(module);
+    if (!cls)
+        return NULL;
+    PyErr_Format(cls, "nonresidue search exceeded its cap of %llu candidates for n=%llu",
+                 (unsigned long long)cap, (unsigned long long)n);
+    Py_DECREF(cls);
+    return NULL;
+}
+
 static PyObject *capped(const char *name, int (*test)(uint64_t, uint64_t),
                         PyObject *const *args, Py_ssize_t nargs)
 {
@@ -286,10 +305,8 @@ static PyObject *capped(const char *name, int (*test)(uint64_t, uint64_t),
     if (as_u64(args[0], &n) || (nargs == 2 && as_cap(args[1], &cap)))
         return NULL;
     r = test(n, cap);
-    if (r == CAP_EXCEEDED) {
-        PyErr_SetString(PyExc_RuntimeError, "nonresidue search exceeded its candidate cap");
-        return NULL;
-    }
+    if (r == CAP_EXCEEDED)
+        return search_cap_exceeded(n, cap);
     return PyBool_FromLong(r);
 }
 

@@ -39,7 +39,7 @@ from .residues import (
     required_euler_residue,
     smallest_nonresidue_prime,
 )
-from .sprp import strong_rounds
+from .sprp import base2_refuted_by_small_factor, strong_rounds
 from .verdicts import Stage, TraceStep, Verdict
 
 _EVEN_OR_UNIT = Stage.even_or_unit()
@@ -84,6 +84,9 @@ def gauss_euler(
         return v
     e = (n - 1) >> 1
 
+    # a traced run records the mod-8 residue, so it always computes it
+    if trace is None and base2_refuted_by_small_factor(n):
+        return _MOD8_FAILURE
     r = pow(2, e, n)
     ok = r == (1 if legendre_two(n) == 1 else n - 1)
     if trace is not None:

@@ -8,13 +8,20 @@ the usual strong-probable-prime condition.
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt, lcm, prod
 
 from .modarith import require_u64
+from .residues import is_small_prime
 from .verdicts import Stage, TraceStep, Verdict
 
 _SMALL_PRIME_SCREEN = Stage.small_prime_screen()
 _BASE2_FAILURE = Verdict(False, Stage.mr_round(2), 2)
+
+# The odd primes 5 <= p < 150 (3 proves nothing: 2^(n-1) = 1 mod 3 for every
+# odd n), their product, and a multiple of ord_p(2) for each of them.
+_SMALL_PRIMES = tuple(p for p in range(5, 150) if is_small_prime(p))
+_SMALL_PRIME_PRODUCT = prod(_SMALL_PRIMES)
+_SMALL_PRIME_LCM = lcm(*(p - 1 for p in _SMALL_PRIMES))
 
 
 @dataclass(frozen=True)
@@ -119,17 +126,34 @@ def _usable_bases(n: int, schedule: Iterable[BaseSpec]) -> Iterator[int]:
             yield base
 
 
+def base2_refuted_by_small_factor(n: int) -> bool:
+    """True when a prime 5 <= p < 150 dividing odd n >= 3 proves
+    2^(n-1) != 1 (mod n), so every base-2 check must fail on n.
+
+    g = gcd(n, P) is the product of those primes that divide n. The order of
+    2 mod g divides L = lcm(p - 1), so 2^(n-1) = 2^((n-1) mod L) (mod g),
+    and a residue other than 1 there rules out 2^(n-1) = 1 (mod n). False
+    proves nothing: the base-2 check must then run.
+    """
+    g = gcd(n, _SMALL_PRIME_PRODUCT)
+    return g > 1 and pow(2, (n - 1) % _SMALL_PRIME_LCM, g) != 1
+
+
 def strong_rounds(
     n: int, bases: Iterable[int], trace: list[TraceStep] | None = None
 ) -> Verdict | None:
     """Rounds to each base in order, reduced mod n, for odd n >= 3.
 
     Returns the composite verdict of the first failing round, or None when
-    every round passes. No base may be a multiple of n.
+    every round passes. No base may be a multiple of n. A base-2 round that
+    a small factor of n settles is failed without its pow.
     """
     d = decompose(n)
     for base in bases:
-        ok = sprp_round(n, base % n, d)
+        if base == 2 and base2_refuted_by_small_factor(n):
+            ok = False
+        else:
+            ok = sprp_round(n, base % n, d)
         if trace is not None:
             trace.append(TraceStep(Stage.mr_round(base), None, ok))
         if not ok:

@@ -22,7 +22,12 @@ import numpy as np
 import pytest
 
 from primekit import kernel
-from primekit.detprime64 import gauss_euler, mr_ge, mr_ge_first_attempt
+from primekit.detprime64 import (
+    SearchCapExceeded,
+    gauss_euler,
+    mr_ge,
+    mr_ge_first_attempt,
+)
 from primekit.modarith import U64_MAX
 from primekit.sprp import reference_oracle64, seven_base_variant
 
@@ -225,12 +230,14 @@ def test_kernel_zero_modulus(impl):
 
 
 def test_kernel_exhausted_cap_raises(impl):
+    # both backends raise the pure path's class, which the CLI reports as a
+    # RuntimeError (exit 2)
     for cap in (0, -1):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SearchCapExceeded):
             impl.ge_is_prime(101, cap)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SearchCapExceeded):
             impl.mrge_is_prime(101, cap)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SearchCapExceeded):
             impl.first_attempt_is_prime(101, cap)
 
 

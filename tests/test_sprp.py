@@ -1,20 +1,26 @@
 import random
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from primekit.residues import is_small_prime
 from primekit.sprp import (
     ORACLE_BASES,
     SEVEN_BASE_SCHEDULE,
     Literal,
     SqrtDerived,
+    base2_refuted_by_small_factor,
     decompose,
     mr_with_schedule,
     reference_oracle64,
     resolve_base,
     seven_base_variant,
     sprp_round,
+    strong_rounds,
 )
-from primekit.verdicts import MR_ROUND, SMALL_PRIME_SCREEN
+from primekit.verdicts import MR_ROUND, SMALL_PRIME_SCREEN, Stage, Verdict
 
 
 def test_decompose_examples():
@@ -42,6 +48,62 @@ def test_sprp_round_known_cases():
     assert sprp_round(2047, 2)  # 23 * 89, the classic base-2 strong liar
     assert not sprp_round(341, 2)
     assert not sprp_round(561, 2)
+
+
+def test_small_factor_refutation_is_exact_to_1e6():
+    # True is a proof: no odd n it flags passes a base-2 Fermat test
+    flagged = 0
+    for n in range(3, 10**6 + 1, 2):
+        if base2_refuted_by_small_factor(n):
+            assert pow(2, n - 1, n) != 1, n
+            flagged += 1
+    # the primes 5 <= p < 150 settle 56.6% of these odd n
+    assert flagged == 283177
+
+
+SMALL_ODD_PRIMES = tuple(p for p in range(5, 150) if is_small_prime(p))
+
+
+def _refuted_by_definition(n):
+    # 2^(n-1) mod g for g the product of the primes 5 <= p < 150 dividing n
+    g = prod(p for p in SMALL_ODD_PRIMES if n % p == 0)
+    return g > 1 and pow(2, n - 1, g) != 1
+
+
+@pytest.mark.parametrize("bits", (64, 256, 2048))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_small_factor_refutation_is_exact_on_wide_draws(bits, data):
+    n = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1)) | 1
+    if data.draw(st.booleans()):
+        # 2^(n-1) = 1 mod p for n = p(1 + j(p - 1)), so p alone proves nothing
+        p = data.draw(st.sampled_from(SMALL_ODD_PRIMES))
+        n = p * (1 + n // p // (p - 1) * (p - 1))
+    refuted = base2_refuted_by_small_factor(n)
+    # above 2^55 the exponent is reduced mod L, so this checks L
+    assert refuted == _refuted_by_definition(n), n
+    if refuted:
+        assert pow(2, n - 1, n) != 1, n
+
+
+def _base2_fermat_pseudoprimes(limit, sieve):
+    return [n for n in range(3, limit, 2) if sieve[n] != 1 and pow(2, n - 1, n) == 1]
+
+
+def test_small_factor_refutation_passes_every_fermat_pseudoprime(sieve_bytes):
+    psp = _base2_fermat_pseudoprimes(10**6, sieve_bytes(10**6))
+    assert len(psp) == 245 and psp[:3] == [341, 561, 645]
+    for n in psp:
+        assert not base2_refuted_by_small_factor(n), n
+
+
+def test_strong_rounds_base2_matches_sprp_round(sieve_bytes):
+    # the verdict is the round's own, on the pseudoprimes (where the round
+    # itself decides) and on every odd n below 10^5 (where the helper mostly does)
+    psp = _base2_fermat_pseudoprimes(10**6, sieve_bytes(10**6))
+    failed = Verdict(False, Stage.mr_round(2), 2)
+    for n in psp + list(range(3, 10**5, 2)):
+        assert strong_rounds(n, (2,)) == (None if sprp_round(n, 2) else failed), n
 
 
 def test_plus_minus_one_always_pass():
