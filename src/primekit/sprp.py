@@ -17,11 +17,19 @@ from .verdicts import Stage, TraceStep, Verdict
 _SMALL_PRIME_SCREEN = Stage.small_prime_screen()
 _BASE2_FAILURE = Verdict(False, Stage.mr_round(2), 2)
 
-# The odd primes 5 <= p < 150 (3 proves nothing: 2^(n-1) = 1 mod 3 for every
-# odd n), their product, and a multiple of ord_p(2) for each of them.
-_SMALL_PRIMES = tuple(p for p in range(5, 150) if is_small_prime(p))
-_SMALL_PRIME_PRODUCT = prod(_SMALL_PRIMES)
-_SMALL_PRIME_LCM = lcm(*(p - 1 for p in _SMALL_PRIMES))
+
+def _prime_product(lo: int, hi: int) -> tuple[int, int]:
+    # the product of the primes lo <= p < hi and lcm(p - 1), a multiple of
+    # the order of 2 modulo that product
+    primes = [p for p in range(lo, hi) if is_small_prime(p)]
+    return prod(primes), lcm(*(p - 1 for p in primes))
+
+
+# The odd primes below 150 are tried on every n (189 bits, lcm 55 bits); those
+# from 150 to 4096 only above 2^64 (5.6 kbits, lcm 1158 bits), where their gcd
+# costs far less than the full-width pow it can save.
+_SMALL_PRIME_PRODUCT, _SMALL_PRIME_LCM = _prime_product(3, 150)
+_MID_PRIME_PRODUCT, _MID_PRIME_LCM = _prime_product(150, 4096)
 
 
 @dataclass(frozen=True)
@@ -127,16 +135,29 @@ def _usable_bases(n: int, schedule: Iterable[BaseSpec]) -> Iterator[int]:
 
 
 def base2_refuted_by_small_factor(n: int) -> bool:
-    """True when a prime 5 <= p < 150 dividing odd n >= 3 proves
-    2^(n-1) != 1 (mod n), so every base-2 check must fail on n.
+    """True when the odd primes p < 150 dividing odd n >= 3 (and above 2^64
+    the primes 150 <= p < 4096) prove that n fails the base-2 Euler-Jacobi
+    check 2^((n-1)/2) = (2/n) (mod n), so every base-2 check must fail on n.
 
-    g = gcd(n, P) is the product of those primes that divide n. The order of
-    2 mod g divides L = lcm(p - 1), so 2^(n-1) = 2^((n-1) mod L) (mod g),
-    and a residue other than 1 there rules out 2^(n-1) = 1 (mod n). False
-    proves nothing: the base-2 check must then run.
+    That check is the mod-8 stage of gauss_euler, and a base-2 strong
+    round passes only where it holds (Pomerance, Selfridge and Wagstaff
+    1980). g = gcd(n, P) is the product of the primes of P that divide n.
+    The order of 2 mod g divides L = lcm(p - 1), so 2^((n-1)/2) is
+    2^(((n-1)/2) mod L) (mod g), and a residue other than (2/n) there rules
+    the congruence out mod n. False proves nothing: the check must run.
     """
     g = gcd(n, _SMALL_PRIME_PRODUCT)
-    return g > 1 and pow(2, (n - 1) % _SMALL_PRIME_LCM, g) != 1
+    if g > 1 and _euler_jacobi_fails_mod(n, g, _SMALL_PRIME_LCM):
+        return True
+    if n >> 64:
+        g = gcd(n, _MID_PRIME_PRODUCT)
+        return g > 1 and _euler_jacobi_fails_mod(n, g, _MID_PRIME_LCM)
+    return False
+
+
+def _euler_jacobi_fails_mod(n: int, g: int, order_multiple: int) -> bool:
+    sign = 1 if n % 8 in (1, 7) else g - 1
+    return pow(2, ((n - 1) >> 1) % order_multiple, g) != sign
 
 
 def strong_rounds(
@@ -148,11 +169,15 @@ def strong_rounds(
     every round passes. No base may be a multiple of n. A base-2 round that
     a small factor of n settles is failed without its pow.
     """
-    d = decompose(n)
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n must be odd and >= 3")
+    d = None
     for base in bases:
         if base == 2 and base2_refuted_by_small_factor(n):
             ok = False
         else:
+            if d is None:
+                d = decompose(n)
             ok = sprp_round(n, base % n, d)
         if trace is not None:
             trace.append(TraceStep(Stage.mr_round(base), None, ok))

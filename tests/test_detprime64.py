@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from primekit.detprime64 import (
@@ -8,6 +10,7 @@ from primekit.detprime64 import (
     mr_ge_first_attempt,
 )
 from primekit.modarith import isqrt
+from primekit.sprp import base2_refuted_by_small_factor
 from primekit.verdicts import (
     DIVISOR_FOUND,
     EVEN_OR_UNIT,
@@ -124,6 +127,20 @@ def test_sieve_agreement_small(sieve_bytes):
         assert fn(2).is_prime
         for n in range(3, 10**5, 2):
             assert fn(n).is_prime == (bm[n] == 1), (fn.__name__, n)
+
+
+def test_untraced_ge_shortcut_matches_the_traced_verdict(sieve_bytes):
+    # untraced gauss_euler settles the mod-8 check by a small factor when it
+    # can; a traced run always computes it, so the two must agree
+    bm = sieve_bytes(10**6)
+    psp = [n for n in range(3, 10**6, 2) if bm[n] != 1 and pow(2, n - 1, n) == 1]
+    assert len(psp) == 245
+    assert sum(map(base2_refuted_by_small_factor, psp)) == 70
+    rng = random.Random(11)
+    multiples_of_3 = [3 * (2 * rng.randrange(2**60, 2**63 // 3) + 1)
+                      for _ in range(2000)]
+    for n in [*range(3, 10**5, 2), *psp, *multiples_of_3]:
+        assert gauss_euler(n) == gauss_euler(n, trace=[]), n
 
 
 def test_perfect_squares_rejected_quickly():

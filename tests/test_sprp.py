@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primekit.residues import is_small_prime
+from primekit.residues import is_small_prime, legendre_two
 from primekit.sprp import (
     ORACLE_BASES,
     SEVEN_BASE_SCHEDULE,
@@ -33,6 +33,9 @@ def test_decompose_rejects_bad_input():
     for n in (0, 1, 2, 4, 100):
         with pytest.raises(ValueError):
             decompose(n)
+        # strong_rounds decomposes lazily, so it checks n before any round
+        with pytest.raises(ValueError):
+            strong_rounds(n, (2,))
 
 
 def test_decompose_recompose_random():
@@ -50,24 +53,35 @@ def test_sprp_round_known_cases():
     assert not sprp_round(561, 2)
 
 
+def _euler_jacobi_holds(n):
+    return pow(2, (n - 1) // 2, n) == (1 if legendre_two(n) == 1 else n - 1)
+
+
 def test_small_factor_refutation_is_exact_to_1e6():
-    # True is a proof: no odd n it flags passes a base-2 Fermat test
+    # True is a proof: no odd n it flags passes the base-2 Euler-Jacobi
+    # check or the base-2 strong round
     flagged = 0
     for n in range(3, 10**6 + 1, 2):
         if base2_refuted_by_small_factor(n):
-            assert pow(2, n - 1, n) != 1, n
+            assert not _euler_jacobi_holds(n), n
+            assert not sprp_round(n, 2), n
             flagged += 1
-    # the primes 5 <= p < 150 settle 56.6% of these odd n
-    assert flagged == 283177
+    # the primes 3 <= p < 150 settle 65.5% of these odd n
+    assert flagged == 327733
 
 
-SMALL_ODD_PRIMES = tuple(p for p in range(5, 150) if is_small_prime(p))
+SMALL_ODD_PRIMES = tuple(p for p in range(3, 150) if is_small_prime(p))
+MID_PRIMES = tuple(p for p in range(150, 4096) if is_small_prime(p))
 
 
 def _refuted_by_definition(n):
-    # 2^(n-1) mod g for g the product of the primes 5 <= p < 150 dividing n
-    g = prod(p for p in SMALL_ODD_PRIMES if n % p == 0)
-    return g > 1 and pow(2, n - 1, g) != 1
+    # the Euler-Jacobi congruence, unreduced, mod g: the product of the
+    # primes 3 <= p < 150 dividing n, and from n >= 2^64 on of the primes
+    # 150 <= p < 4096 dividing n as well
+    primes = SMALL_ODD_PRIMES + (MID_PRIMES if n >= 2**64 else ())
+    g = prod(p for p in primes if n % p == 0)
+    sign = 1 if legendre_two(n) == 1 else g - 1
+    return g > 1 and pow(2, (n - 1) // 2, g) != sign
 
 
 @pytest.mark.parametrize("bits", (64, 256, 2048))
@@ -76,30 +90,41 @@ def _refuted_by_definition(n):
 def test_small_factor_refutation_is_exact_on_wide_draws(bits, data):
     n = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1)) | 1
     if data.draw(st.booleans()):
-        # 2^(n-1) = 1 mod p for n = p(1 + j(p - 1)), so p alone proves nothing
-        p = data.draw(st.sampled_from(SMALL_ODD_PRIMES))
-        n = p * (1 + n // p // (p - 1) * (p - 1))
+        # for n = p(1 + 4j(p - 1)), 2^((n-1)/2) = (2/p) = (2/n) mod p, so p
+        # alone proves nothing
+        p = data.draw(st.sampled_from(SMALL_ODD_PRIMES + MID_PRIMES))
+        m = 4 * (p - 1)
+        n = p * (1 + n // p // m * m)
     refuted = base2_refuted_by_small_factor(n)
-    # above 2^55 the exponent is reduced mod L, so this checks L
+    # above 2^55 the exponent is reduced mod L, so this checks L and the
+    # 2^64 gate of the second product
     assert refuted == _refuted_by_definition(n), n
     if refuted:
-        assert pow(2, n - 1, n) != 1, n
+        assert not _euler_jacobi_holds(n), n
 
 
 def _base2_fermat_pseudoprimes(limit, sieve):
     return [n for n in range(3, limit, 2) if sieve[n] != 1 and pow(2, n - 1, n) == 1]
 
 
-def test_small_factor_refutation_passes_every_fermat_pseudoprime(sieve_bytes):
-    psp = _base2_fermat_pseudoprimes(10**6, sieve_bytes(10**6))
-    assert len(psp) == 245 and psp[:3] == [341, 561, 645]
+def test_small_factor_refutation_passes_every_euler_jacobi_pseudoprime(sieve_bytes):
+    psp = [n for n in _base2_fermat_pseudoprimes(10**6, sieve_bytes(10**6))
+           if _euler_jacobi_holds(n)]
+    assert len(psp) == 114 and psp[:3] == [561, 1105, 1729]
+    # the strong base-2 pseudoprimes are among them (Pomerance, Selfridge
+    # and Wagstaff 1980)
+    assert sum(sprp_round(n, 2) for n in psp) == 46
     for n in psp:
         assert not base2_refuted_by_small_factor(n), n
+    # 341 = 11 * 31 passes base-2 Fermat, but 2^170 = 1 mod 11 where
+    # (2/341) = -1
+    assert base2_refuted_by_small_factor(341)
 
 
 def test_strong_rounds_base2_matches_sprp_round(sieve_bytes):
-    # the verdict is the round's own, on the pseudoprimes (where the round
-    # itself decides) and on every odd n below 10^5 (where the helper mostly does)
+    # the verdict is the round's own, on the Fermat pseudoprimes (the helper
+    # settles 70 of them, the round decides the rest) and on every odd n below
+    # 10^5 (where the helper mostly does)
     psp = _base2_fermat_pseudoprimes(10**6, sieve_bytes(10**6))
     failed = Verdict(False, Stage.mr_round(2), 2)
     for n in psp + list(range(3, 10**5, 2)):
