@@ -18,13 +18,11 @@ full 64-bit exactness is a conjecture the verification module probes, not
 a proven fact.
 """
 
-from functools import cache
 from math import isqrt
 from operator import index
 
 from .modarith import require_u64
 from .residues import (
-    ABORT,
     DEFAULT_SEARCH_CAP,
     DIVISOR,
     FORM_4K1,
@@ -34,10 +32,8 @@ from .residues import (
     FOUND,
     SELF_PRIME,
     Form,
+    _search,
     is_small_prime,
-    legendre_two,
-    required_euler_residue,
-    smallest_nonresidue_prime,
 )
 from .sprp import base2_refuted_by_small_factor, strong_rounds
 from .verdicts import Stage, TraceStep, Verdict
@@ -88,7 +84,8 @@ def gauss_euler(
     if trace is None and base2_refuted_by_small_factor(n):
         return _MOD8_FAILURE
     r = pow(2, e, n)
-    ok = r == (1 if legendre_two(n) == 1 else n - 1)
+    # (2/n) = +1 iff n = 8k+1 or 8k+7
+    ok = r == (1 if (n & 7) in (1, 7) else n - 1)
     if trace is not None:
         trace.append(TraceStep(_MOD8_EULER, r, ok))
     if not ok:
@@ -96,9 +93,10 @@ def gauss_euler(
 
     m = isqrt(n)
     h = isqrt(n >> 1)
+    n1 = n - 1
     for a in (m, m + 1, h, h + 1):
-        sign, r = euler_criterion_check(n, a)
-        ok = sign != 0
+        r = pow(a, e, n)
+        ok = r == 1 or r == n1
         if trace is not None:
             trace.append(TraceStep(Stage.sqrt_base(a), r, ok))
         if not ok:
@@ -171,12 +169,17 @@ def reciprocity_checks(
     """
     e = (n - 1) >> 1
     for form in forms:
-        res = smallest_nonresidue_prime(n, form, ABORT, cap)
-        status, p = res.status, res.prime
+        status, p, _ = _search(n, form, True, cap)
         if status == FOUND:
             r = pow(p, e, n)
-            ok = r == required_euler_residue(n, p)
-            v = _reciprocity_verdict(form, p, ok)
+            # the required_euler_residue rule: (p/n) = +1 only for p, n = 4k+3
+            ok = r == (1 if p & 3 == 3 and n & 3 == 3 else n - 1)
+            # keyed on the form's fields: a Form's generated __hash__ runs in Python
+            key = (form.modulus, form.residue, form.first_candidate, p, ok)
+            v = _RECIPROCITY_VERDICTS.get(key)
+            if v is None:
+                v = Verdict(ok, Stage.reciprocity(form, p), p)
+                _RECIPROCITY_VERDICTS[key] = v
             if trace is not None:
                 trace.append(TraceStep(v.stage, r, ok))
             if not ok:
@@ -197,11 +200,9 @@ def reciprocity_checks(
     return v
 
 
-@cache
-def _reciprocity_verdict(form: Form, p: int, passed: bool) -> Verdict:
-    # depends on the form and p only; p is a small prime (the first
-    # nonresidue in its progression), so the cache stays small
-    return Verdict(passed, Stage.reciprocity(form, p), p)
+# reciprocity verdicts depend on the form and p only; p is a small prime (the
+# first nonresidue in its progression), so the table stays small
+_RECIPROCITY_VERDICTS: dict[tuple[int, int, int, int, bool], Verdict] = {}
 
 
 def _screen(n: int, small_limit: int) -> Verdict | None:

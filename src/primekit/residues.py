@@ -2,14 +2,16 @@
 
 The deterministic tests repeatedly need the smallest prime p in an
 arithmetic progression (4k+1, 8k+5, ...) such that n is a quadratic
-non-residue mod p. Candidates are enumerated along the progression and
-checked for primality by trial division each time; the symbol (n/p) is then
-evaluated by Euler's criterion modulo the small p, which is cheap because p
-stays tiny in practice.
+non-residue mod p. The search walks a table of the progression's primes
+below 8,192, built once per form from a sieve; candidates beyond the
+table, reachable only with a cap above the default, are checked by trial
+division. The symbol (n/p) is evaluated by Euler's criterion modulo the
+small p, which is cheap because p stays tiny in practice.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 DEFAULT_SEARCH_CAP = 1000
 
@@ -24,10 +26,29 @@ SELF_PRIME = "self-prime"
 EXHAUSTED = "exhausted"
 
 
+# With the default cap and a step of at most 8 from a first candidate of at
+# most 17, no candidate exceeds 8,009, so the table covers every default search.
+_TABLE_LIMIT = 8192
+
+
+def _sieve(limit: int) -> bytes:
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return bytes(flags)
+
+
+# _PRIME_FLAGS[p] == 1 iff p < _TABLE_LIMIT is prime
+_PRIME_FLAGS = _sieve(_TABLE_LIMIT)
+
+
 def is_small_prime(p: int) -> bool:
-    """Primality by trial division up to isqrt(p). Meant for small p."""
-    if p < 2:
-        return False
+    """Primality from a sieve table below 8,192, by trial division
+    up to isqrt(p) above it. Meant for small p."""
+    if p < _TABLE_LIMIT:
+        return p >= 2 and _PRIME_FLAGS[p] == 1
     if p % 2 == 0:
         return p == 2
     lim = math.isqrt(p)
@@ -60,6 +81,14 @@ class Form:
 
     def __str__(self) -> str:
         return f"{self.modulus}k+{self.residue}"
+
+    @cached_property
+    def _table_primes(self) -> tuple[int, ...]:
+        # the progression's primes from the first candidate to below _TABLE_LIMIT
+        return tuple(
+            p for p in range(self.first_candidate, _TABLE_LIMIT, self.modulus)
+            if _PRIME_FLAGS[p]
+        )
 
 
 FORM_4K1 = Form(4, 1, 5)
@@ -133,20 +162,36 @@ def smallest_nonresidue_prime(
     """
     if divisor_policy not in (SKIP, ABORT):
         raise ValueError(f"unknown divisor policy: {divisor_policy!r}")
-    candidate = form.first_candidate
-    inspected = 0
+    return SearchResult(*_search(n, form, divisor_policy == ABORT, cap))
+
+
+def _search(n: int, form: Form, abort: bool, cap: int) -> tuple[str, int | None, int]:
+    """smallest_nonresidue_prime as a (status, prime, inspected) tuple;
+    ``abort`` selects policy ``abort`` over ``skip``."""
+    modulus = form.modulus
+    first = form.first_candidate
+    limit = first + cap * modulus  # candidates past the cap start here
+    for p in form._table_primes:
+        if p >= limit:
+            return EXHAUSTED, None, max(cap, 0)
+        symbol = pow(n % p, p >> 1, p)
+        if symbol == p - 1:
+            return FOUND, p, (p - first) // modulus + 1
+        if symbol == 0 and abort:
+            return SELF_PRIME if p == n else DIVISOR, p, (p - first) // modulus + 1
+    # past the table: the first candidate at or above _TABLE_LIMIT onwards
+    inspected = max(0, -((first - _TABLE_LIMIT) // modulus))
+    candidate = first + inspected * modulus
     while inspected < cap:
         inspected += 1
         if is_small_prime(candidate):
-            # legendre(n, candidate), without re-checking the odd prime
             symbol = pow(n % candidate, candidate >> 1, candidate)
             if symbol == candidate - 1:
-                return SearchResult(FOUND, candidate, inspected)
-            if symbol == 0 and divisor_policy == ABORT:
-                status = SELF_PRIME if candidate == n else DIVISOR
-                return SearchResult(status, candidate, inspected)
-        candidate += form.modulus
-    return SearchResult(EXHAUSTED, None, inspected)
+                return FOUND, candidate, inspected
+            if symbol == 0 and abort:
+                return SELF_PRIME if candidate == n else DIVISOR, candidate, inspected
+        candidate += modulus
+    return EXHAUSTED, None, max(cap, 0)
 
 
 def required_euler_residue(n: int, p: int) -> int:

@@ -171,14 +171,26 @@ def strong_rounds(
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    d = None
+    n1 = n - 1
+    s = 0  # n - 1 = 2^s * t, split when the first round needs its pow
     for base in bases:
         if base == 2 and base2_refuted_by_small_factor(n):
             ok = False
         else:
-            if d is None:
-                d = decompose(n)
-            ok = sprp_round(n, base % n, d)
+            if not s:
+                s = (n1 & -n1).bit_length() - 1
+                t = n1 >> s
+            # the sprp_round chain, stopped once it reaches n - 1 or 1
+            b = pow(base, t, n)
+            ok = b == 1 or b == n1
+            if not ok:
+                for _ in range(s - 1):
+                    b = b * b % n
+                    if b == n1:
+                        ok = True
+                        break
+                    if b == 1:
+                        break
         if trace is not None:
             trace.append(TraceStep(Stage.mr_round(base), None, ok))
         if not ok:

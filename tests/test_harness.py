@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +192,19 @@ def test_cli_corpus(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 8
     assert all(line.startswith("ok ") for line in lines)
+
+
+def test_python_m_primekit_runs_the_cli():
+    # the checkout's src/, not an installed copy, as the README's CLI section says
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "primekit", "corpus"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 8 and all(line.startswith("ok ") for line in lines)
 
 
 def test_cli_bigtest(capsys):

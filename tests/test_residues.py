@@ -1,5 +1,9 @@
+import math
+import random
+
 import pytest
 
+from primekit.detprime64 import reciprocity_checks
 from primekit.residues import (
     ABORT,
     DIVISOR,
@@ -7,7 +11,9 @@ from primekit.residues import (
     FORM_4K1,
     FORM_4K3,
     FORM_8K1,
+    FORM_8K3,
     FORM_8K5,
+    FORM_8K7,
     FOUND,
     SELF_PRIME,
     SKIP,
@@ -32,6 +38,16 @@ def test_is_small_prime_matches_sieve(sieve_bytes):
     bm = sieve_bytes(10**4)
     for n in range(10**4 + 1):
         assert is_small_prime(n) == (bm[n] == 1)
+
+
+def _trial_division_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_is_small_prime_matches_trial_division_across_the_table_edge():
+    # the sieve table answers below 8,192, trial division above it
+    for p in range(-5, 20001):
+        assert is_small_prime(p) == _trial_division_prime(p), p
 
 
 def test_form_rendering_and_candidates():
@@ -170,3 +186,73 @@ def test_required_euler_residue_matches_actual_primes(sieve_bytes):
         for p in small:
             if p != n and legendre(n, p) == -1:
                 assert pow(p, (n - 1) // 2, n) == required_euler_residue(n, p)
+
+
+_trial_prime_cached = {}
+
+
+def _reference_search(n, form, policy, cap):
+    # the candidate-by-candidate walk with trial division that the prime
+    # table replaced, kept as the reference for status, prime and inspected
+    candidate = form.first_candidate
+    inspected = 0
+    while inspected < cap:
+        inspected += 1
+        prime = _trial_prime_cached.get(candidate)
+        if prime is None:
+            prime = _trial_prime_cached[candidate] = _trial_division_prime(candidate)
+        if prime:
+            symbol = pow(n % candidate, candidate >> 1, candidate)
+            if symbol == candidate - 1:
+                return FOUND, candidate, inspected
+            if symbol == 0 and policy == ABORT:
+                return SELF_PRIME if candidate == n else DIVISOR, candidate, inspected
+        candidate += form.modulus
+    return EXHAUSTED, None, inspected
+
+
+SEARCH_FORMS = (FORM_4K1, FORM_4K3, FORM_8K1, FORM_8K3, FORM_8K5, FORM_8K7,
+                Form(8, 5, 13))  # the last differs from FORM_8K5 only in its start
+# past the table: 1024 from 8k+1 and Form(8, 5, 13), 1100 from every 8k form,
+# 2050 from the 4k forms too
+SEARCH_CAPS = (-1, 0, 1, 2, 50, 1000, 1024, 1100, 2050)
+
+
+def _search_inputs():
+    rng = random.Random(8)
+    yield from range(1, 3000, 2)
+    yield from (rng.randrange(1 << 63, 1 << 64) | 1 for _ in range(3000))
+    yield from (k * k for k in range(1, 200, 2))  # exhaust every cap
+    yield from ((rng.randrange(1 << 31, 1 << 32) | 1) ** 2 for _ in range(20))
+    # every table prime, so each form meets n itself (self-prime)
+    table_primes = [p for p in range(3, 8192, 2) if _trial_division_prime(p)]
+    yield from table_primes
+    # residues of every table prime, so the walk goes on past the table
+    yield from (2 * j * math.prod(table_primes) + 1 for j in range(1, 11))
+
+
+def test_table_search_matches_the_candidate_walk():
+    searches = 0
+    for n in _search_inputs():
+        for form in SEARCH_FORMS:
+            for policy in (SKIP, ABORT):
+                for cap in SEARCH_CAPS:
+                    res = smallest_nonresidue_prime(n, form, policy, cap)
+                    want = _reference_search(n, form, policy, cap)
+                    assert (res.status, res.prime, res.inspected) == want, (
+                        n, form, policy, cap)
+                    searches += 1
+    assert searches > 600_000
+
+
+def test_reciprocity_verdict_carries_its_own_form():
+    # 1000121 is prime, a residue mod 5 and a nonresidue mod 13, so 8k+5
+    # searches from 5 and from 13 both stop at p = 13; each verdict must
+    # name the form it was asked for, not one cached for the other
+    n = 1000121
+    assert _trial_division_prime(n)
+    late_8k5 = Form(8, 5, 13)
+    for form in (FORM_8K5, late_8k5, FORM_8K5):
+        v = reciprocity_checks(n, (form,), 1000)
+        assert v.is_prime and v.witness == 13
+        assert v.stage.form == form and v.stage.form.first_candidate == form.first_candidate

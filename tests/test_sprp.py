@@ -20,7 +20,7 @@ from primekit.sprp import (
     sprp_round,
     strong_rounds,
 )
-from primekit.verdicts import MR_ROUND, SMALL_PRIME_SCREEN, Stage, Verdict
+from primekit.verdicts import MR_ROUND, SMALL_PRIME_SCREEN, Stage, TraceStep, Verdict
 
 
 def test_decompose_examples():
@@ -129,6 +129,40 @@ def test_strong_rounds_base2_matches_sprp_round(sieve_bytes):
     failed = Verdict(False, Stage.mr_round(2), 2)
     for n in psp + list(range(3, 10**5, 2)):
         assert strong_rounds(n, (2,)) == (None if sprp_round(n, 2) else failed), n
+
+
+def _assert_rounds_agree(n, a):
+    passed = sprp_round(n, a)
+    assert (strong_rounds(n, (a,)) is None) == passed, (n, a)
+    trace = []
+    strong_rounds(n, (a,), trace)
+    assert trace == [TraceStep(Stage.mr_round(a), None, passed)], (n, a)
+
+
+@pytest.mark.parametrize("bits", (64, 256))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_strong_rounds_loop_matches_sprp_round(bits, data):
+    if data.draw(st.booleans()):
+        # n - 1 = 2^k * t: a squaring chain of k steps
+        k = data.draw(st.integers(1, 40))
+        n = (data.draw(st.integers(1, 2 ** (bits - k) - 1)) | 1) << k | 1
+    else:
+        n = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1)) | 1
+    if n < 5:
+        return
+    _assert_rounds_agree(n, data.draw(st.integers(2, n - 2)))
+
+
+def test_strong_rounds_loop_on_primes_and_strong_pseudoprimes(sieve_bytes):
+    # primes and base-2 strong pseudoprimes reach -1 late in the chain
+    bm = sieve_bytes(10**6)
+    spsp = [n for n in _base2_fermat_pseudoprimes(10**6, bm) if sprp_round(n, 2)]
+    assert len(spsp) == 46
+    primes = [p for p in range(5, 10**6, 2) if bm[p] == 1]
+    for n in spsp + primes:
+        for a in (2, 3, n - 2):
+            _assert_rounds_agree(n, a)
 
 
 def test_plus_minus_one_always_pass():
