@@ -1,18 +1,21 @@
-"""Every rich verdict, stage, witness and trace, pinned by one hash.
+"""Every rich verdict, stage, witness and trace, pinned by hashes.
 
 Each call is made with and without a trace list, and both must agree. The
-hash was taken from the stage-logging rich tests that preceded the
+first hash was taken from the stage-logging rich tests that preceded the
 fail-fast ones; any change to what a rich test reports on these inputs
-changes it.
+changes it. The second pins the small-n screens of the wide recipes and of
+``mr_with_schedule``, which the first reaches only on wide values.
 """
 
 import hashlib
 import random
 
 from primekit.bigrecipes import recipe256, recipe2048
+from primekit.sprp import SEVEN_BASE_SCHEDULE, Literal, mr_with_schedule
 from primekit.verification import CORPUS, RICH_ALGORITHMS
 
 PINNED_SHA256 = "f38ca4bf3913d509a1240d252559eafb41841ddbe440e8d5d5853d88189274d0"
+SMALL_N_SHA256 = "74ac79436d372ca34dde8a7c078bc47660842ec20c7098a642106f0f5a27e7ed"
 
 
 def _record(fn, n, digest):
@@ -40,3 +43,19 @@ def test_rich_verdicts_match_the_pinned_hash():
     for _ in range(10):
         _record(recipe2048, rng.getrandbits(1024) | (1 << 1023) | 1, digest)
     assert digest.hexdigest() == PINNED_SHA256
+
+
+def _seven_base_schedule(n, trace=None):
+    return mr_with_schedule(n, SEVEN_BASE_SCHEDULE, trace)
+
+
+def _bases_2_3(n, trace=None):
+    return mr_with_schedule(n, (Literal(2), Literal(3)), trace)
+
+
+def test_small_n_verdicts_match_the_pinned_hash():
+    digest = hashlib.sha256()
+    for fn in (recipe256, recipe2048, _seven_base_schedule, _bases_2_3):
+        for n in range(1000):
+            _record(fn, n, digest)
+    assert digest.hexdigest() == SMALL_N_SHA256
