@@ -22,10 +22,9 @@ from .residues import (
     FORM_8K5,
     FORM_8K7,
     Form,
-    is_small_prime,
 )
-from .sprp import BaseSpec, Literal, SqrtDerived, mr_with_schedule
-from .verdicts import Stage, TraceStep, Verdict
+from .sprp import BaseSpec, Literal, SqrtDerived, mr_with_schedule, small_screen
+from .verdicts import TraceStep, Verdict
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,8 @@ def run_recipe(
     n, cap = index(n), index(cap)
     if n < 0:
         raise ValueError("n must be >= 0")
-    v = _screen_small(n)
+    # odd composites below 100 go on to the rounds
+    v = small_screen(n, 100, 0)
     if v is not None:
         return v
     v = mr_with_schedule(n, recipe.mr_bases, trace)
@@ -92,20 +92,3 @@ def recipe2048(n: int, cap: int = DEFAULT_SEARCH_CAP, trace=None) -> Verdict:
 
     Intended for candidates up to ~2^2048; wider inputs are accepted."""
     return run_recipe(n, RECIPE_2048, cap, trace)
-
-
-def _screen_small(n: int) -> Verdict | None:
-    if n < 2:
-        return Verdict(False, Stage.even_or_unit())
-    if n == 2:
-        return Verdict(True, Stage.small_prime_screen(), 2)
-    if n % 2 == 0:
-        return Verdict(False, Stage.even_or_unit(), 2)
-    if n < 9:
-        # 3, 5, 7 (no odd composites exist below 9)
-        return Verdict(True, Stage.small_prime_screen(), n)
-    if n < 100:
-        if is_small_prime(n):
-            return Verdict(True, Stage.small_prime_screen(), n)
-        return None
-    return None

@@ -33,12 +33,10 @@ from .residues import (
     SELF_PRIME,
     Form,
     _search,
-    is_small_prime,
 )
-from .sprp import base2_refuted_by_small_factor, strong_rounds
+from .sprp import base2_refuted_by_small_factor, small_screen, strong_rounds
 from .verdicts import Stage, TraceStep, Verdict
 
-_EVEN_OR_UNIT = Stage.even_or_unit()
 _SMALL_PRIME_SCREEN = Stage.small_prime_screen()
 _MOD8_EULER = Stage.mod8_euler()
 _MOD8_FAILURE = Verdict(False, _MOD8_EULER, 2)
@@ -75,7 +73,7 @@ def gauss_euler(
     are screened rather than special-cased downstream.
     """
     n, cap = require_u64(n), index(cap)
-    v = _screen(n, small_limit=100)
+    v = small_screen(n, 100, 100)
     if v is not None:
         return v
     e = (n - 1) >> 1
@@ -117,7 +115,7 @@ def mr_ge(
     4k+3 search cannot terminate with -1 on a square.
     """
     n, cap = require_u64(n), index(cap)
-    v = _screen(n, small_limit=9)
+    v = small_screen(n, 9, 9)
     if v is not None:
         return v
 
@@ -142,7 +140,7 @@ def mr_ge_first_attempt(
     """The rejected first MR-GE design; 17364052083370132981 (composite)
     passes it. Retained so that falsification stays reproducible."""
     n, cap = require_u64(n), index(cap)
-    v = _screen(n, small_limit=9)
+    v = small_screen(n, 9, 9)
     if v is not None:
         return v
 
@@ -203,27 +201,3 @@ def reciprocity_checks(
 # reciprocity verdicts depend on the form and p only; p is a small prime (the
 # first nonresidue in its progression), so the table stays small
 _RECIPROCITY_VERDICTS: dict[tuple[int, int, int, int, bool], Verdict] = {}
-
-
-def _screen(n: int, small_limit: int) -> Verdict | None:
-    """Shared plumbing screens; None means n proceeds to the main stages."""
-    if n < 2:
-        return Verdict(False, _EVEN_OR_UNIT)
-    if n == 2:
-        return Verdict(True, _SMALL_PRIME_SCREEN, 2)
-    if n % 2 == 0:
-        return Verdict(False, _EVEN_OR_UNIT, 2)
-    if n < small_limit:
-        if is_small_prime(n):
-            return Verdict(True, _SMALL_PRIME_SCREEN, n)
-        return Verdict(False, _SMALL_PRIME_SCREEN, _smallest_odd_factor(n))
-    return None
-
-
-def _smallest_odd_factor(n: int) -> int:
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n

@@ -37,7 +37,7 @@ CSV_HEADER = "set,algo,reps,median_seconds,ns_per_call,primes,composites"
 SET4_FIRST = 1000000000000000003
 SET4_EXPECTED_LAST = 1000000000004133179
 
-BENCH_ALGOS = ("ge", "mrge", "mr7")
+_BENCHED = tuple(name for name, spec in kernel.ALGOS.items() if spec.bench)
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,13 @@ def run_bench(
     cap: int | None = None,
 ) -> BenchResult:
     """Median-of-``reps`` timing of one full single-threaded pass."""
-    if algo not in BENCH_ALGOS:
-        raise ValueError(f"bench supports {BENCH_ALGOS}, not {algo!r}")
+    if algo not in _BENCHED:
+        raise ValueError(f"bench supports {_BENCHED}, not {algo!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     data = generate_set(set_id)
     impl = kernel.load_backend(backend)
-    fn = kernel.bind_cap(algo, getattr(impl, kernel.FUNC_NAMES[algo]), cap)
+    fn = kernel.bind_cap(algo, getattr(impl, kernel.ALGOS[algo].entry), cap)
 
     primes = 0
     for x in data:  # warm-up pass, discarded
@@ -164,16 +164,6 @@ def run_bench(
     )
 
 
-def compare_backends(set_id: int, algos=BENCH_ALGOS, reps: int = 3):
-    """Time every available kernel backend on one set; returns
-    (algo, backend, BenchResult) triples."""
-    rows = []
-    for algo in algos:
-        for name in kernel.available_backends():
-            rows.append((algo, name, run_bench(set_id, algo, reps, backend=name)))
-    return rows
-
-
 # --- CLI ---------------------------------------------------------------------
 
 
@@ -186,6 +176,13 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
+def _jobs_arg(text: str) -> int:
+    jobs = _int_arg(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"need at least one job, not {jobs}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="primekit",
@@ -193,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "probabilistic recipes, verification and benchmarks.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    algos = tuple(RICH_ALGORITHMS)
+    algos = tuple(kernel.ALGOS)
 
     t = sub.add_parser("test", help="classify one integer")
     t.add_argument("n", type=_int_arg)
@@ -209,27 +206,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seeded random odd 64-bit draws, vs the reference oracle",
     )
     v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=_jobs_arg, default=1)
 
     b = sub.add_parser("bench", help="time one algorithm over one fixed set")
     b.add_argument("--set", dest="set_id", type=int, choices=(1, 2, 3, 4), required=True)
-    b.add_argument("--algo", choices=BENCH_ALGOS, required=True)
+    b.add_argument("--algo", choices=_BENCHED, required=True)
     b.add_argument("--reps", type=int, default=3)
     b.add_argument("--csv", action="store_true")
-    b.add_argument("--backend", choices=("auto", "c", "py"), default="auto")
-
-    k = sub.add_parser(
-        "kernelbench", help="compare the compiled and pure-Python kernels"
-    )
-    k.add_argument("--set", dest="set_id", type=int, choices=(1, 2, 3, 4), default=1)
-    k.add_argument("--reps", type=int, default=3)
+    b.add_argument("--backend", choices=kernel.BACKEND_CHOICES, default="auto")
 
     s = sub.add_parser("search", help="scan a range for oracle disagreements")
     s.add_argument("--algo", choices=algos, required=True)
     s.add_argument("--from", dest="start", type=_int_arg, required=True)
     s.add_argument("--to", dest="end", type=_int_arg, required=True)
     s.add_argument("--shards", type=int, default=16)
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=_jobs_arg, default=1)
     s.add_argument("--checkpoint", default=None, metavar="FILE")
 
     sub.add_parser("corpus", help="re-run the worked-example corpus")
@@ -276,22 +267,6 @@ def _cmd_bench(args, cap: int) -> int:
     return 0
 
 
-def _cmd_kernelbench(args, cap: int) -> int:
-    names = kernel.available_backends()
-    if "c" not in names:
-        print("compiled kernel not built; timing the pure-Python kernel only")
-    rows = compare_backends(args.set_id, reps=args.reps)
-    by_algo: dict[str, dict[str, float]] = {}
-    for algo, name, res in rows:
-        print(f"set {res.set_id} algo={algo} backend={name} "
-              f"median={res.median_seconds:.3f}s ({res.ns_per_call:.0f} ns/call)")
-        by_algo.setdefault(algo, {})[name] = res.median_seconds
-    for algo, t in by_algo.items():
-        if "c" in t and "py" in t:
-            print(f"algo={algo}: compiled is {t['py'] / t['c']:.1f}x faster")
-    return 0
-
-
 def _cmd_search(args, cap: int) -> int:
     report = search_counterexamples(
         args.algo,
@@ -335,7 +310,6 @@ _COMMANDS = {
     "test": _cmd_test,
     "verify": _cmd_verify,
     "bench": _cmd_bench,
-    "kernelbench": _cmd_kernelbench,
     "search": _cmd_search,
     "corpus": _cmd_corpus,
     "bigtest": _cmd_bigtest,

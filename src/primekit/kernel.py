@@ -1,35 +1,60 @@
 """Backend selection: compiled extension when built, pure Python otherwise.
 
-Set PRIMEKIT_BACKEND=py to force the pure kernel, or =c to require the
-compiled one (ImportError if it is missing). Default is auto.
+Set PRIMEKIT_BACKEND=py (or =python) to force the pure kernel, or =c to
+require the compiled one (ImportError if it is missing). Default is auto.
+
+``ALGOS`` is the one table of the 64-bit algorithms; every list of them is
+derived from it.
 """
 
 import os
 import warnings
+from collections.abc import Callable
+from dataclasses import dataclass
 
-FUNC_NAMES = {
-    "ge": "ge_is_prime",
-    "mrge": "mrge_is_prime",
-    "first": "first_attempt_is_prime",
-    "mr7": "mr7_is_prime",
-    "oracle": "oracle_is_prime",
+from . import detprime64, sprp
+from .verdicts import Verdict
+
+BACKEND_CHOICES = ("auto", "c", "py", "python")
+
+
+@dataclass(frozen=True)
+class AlgoSpec:
+    """The kernel entry point (the same name in both backends), the rich
+    stage-carrying test, whether both take a search cap as their second
+    argument, and whether ``bench`` times the algorithm."""
+
+    entry: str
+    rich: Callable[..., Verdict]
+    capped: bool
+    bench: bool
+
+
+ALGOS = {
+    "ge": AlgoSpec("ge_is_prime", detprime64.gauss_euler, capped=True, bench=True),
+    "mrge": AlgoSpec("mrge_is_prime", detprime64.mr_ge, capped=True, bench=True),
+    "first": AlgoSpec(
+        "first_attempt_is_prime", detprime64.mr_ge_first_attempt,
+        capped=True, bench=False,
+    ),
+    "mr7": AlgoSpec("mr7_is_prime", sprp.seven_base_variant, capped=False, bench=True),
+    "oracle": AlgoSpec(
+        "oracle_is_prime", sprp.reference_oracle64, capped=False, bench=False
+    ),
 }
-
-# algorithms whose kernel entry point takes a search-cap argument
-CAPPED = frozenset(("ge", "mrge", "first"))
 
 
 def bind_cap(algo: str, fn, cap: int | None):
     """``fn`` called with ``n`` alone: ``cap`` is bound as the second
     positional argument when it is given and ``algo`` takes one. Serves the
     kernel entry points and the rich tests alike."""
-    if cap is None or algo not in CAPPED:
+    if cap is None or not ALGOS[algo].capped:
         return fn
     return lambda n: fn(n, cap)
 
 
 def load_backend(name: str = "auto"):
-    """Return the kernel module for ``name`` in {auto, c, py}."""
+    """Return the kernel module for ``name``, one of BACKEND_CHOICES."""
     if name in ("py", "python"):
         from . import _pykernel
 
@@ -38,7 +63,7 @@ def load_backend(name: str = "auto"):
         from . import _kernel64  # ImportError here means it was never built
 
         return _kernel64
-    if name != "auto":
+    if name not in BACKEND_CHOICES:
         warnings.warn(f"unknown kernel backend {name!r}; using auto")
     try:
         from . import _kernel64
@@ -74,4 +99,4 @@ first_attempt_is_prime = _impl.first_attempt_is_prime
 mr7_is_prime = _impl.mr7_is_prime
 oracle_is_prime = _impl.oracle_is_prime
 
-ALGORITHMS = {key: getattr(_impl, fn) for key, fn in FUNC_NAMES.items()}
+ALGORITHMS = {key: getattr(_impl, spec.entry) for key, spec in ALGOS.items()}

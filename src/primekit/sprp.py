@@ -16,6 +16,10 @@ from .verdicts import Stage, TraceStep, Verdict
 
 _SMALL_PRIME_SCREEN = Stage.small_prime_screen()
 _BASE2_FAILURE = Verdict(False, Stage.mr_round(2), 2)
+# the screen's outcomes that do not depend on n
+_UNIT = Verdict(False, Stage.even_or_unit())
+_TWO = Verdict(True, _SMALL_PRIME_SCREEN, 2)
+_EVEN = Verdict(False, Stage.even_or_unit(), 2)
 
 
 def _prime_product(lo: int, hi: int) -> tuple[int, int]:
@@ -103,6 +107,25 @@ _ORACLE_DIVISORS = {p: Verdict(False, Stage.divisor_found(p), p) for p in ORACLE
 _ORACLE_PRIME = Verdict(True, Stage.mr_round(ORACLE_BASES[-1]))
 
 
+def small_screen(n: int, prime_below: int, factor_below: int) -> Verdict | None:
+    """The opening screen of every test; None sends n on to its stages.
+
+    n < 2 and even n are settled here. An odd prime below ``prime_below``
+    is proved prime, and an odd composite below ``factor_below`` is refuted
+    by its smallest factor; any other n goes on.
+    """
+    if n < 2:
+        return _UNIT
+    if not n & 1:
+        return _TWO if n == 2 else _EVEN
+    if n < prime_below and is_small_prime(n):
+        return Verdict(True, _SMALL_PRIME_SCREEN, n)
+    if n < factor_below and not is_small_prime(n):
+        return Verdict(False, _SMALL_PRIME_SCREEN, next(
+            d for d in range(3, n, 2) if n % d == 0))
+    return None
+
+
 def mr_with_schedule(
     n: int, schedule: tuple[BaseSpec, ...], trace: list[TraceStep] | None = None
 ) -> Verdict:
@@ -112,12 +135,9 @@ def mr_with_schedule(
     that resolves to <= 0 or to a multiple of n is skipped (its round would
     be vacuous). A base that resolves to 1 legitimately passes.
     """
-    if n < 2:
-        return Verdict(False, Stage.even_or_unit())
-    if n == 2:
-        return Verdict(True, _SMALL_PRIME_SCREEN, 2)
-    if n % 2 == 0:
-        return Verdict(False, Stage.even_or_unit(), 2)
+    v = small_screen(n, 0, 0)
+    if v is not None:
+        return v
     v = strong_rounds(n, _usable_bases(n, schedule), trace)
     if v is not None:
         return v
@@ -209,11 +229,10 @@ def seven_base_variant(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     """
     n = require_u64(n)
     if n == 17:
-        return Verdict(True, Stage.small_prime_screen(), 17)
-    if n < 9:
-        return _small_screen(n)
-    if n % 2 == 0:
-        return Verdict(False, Stage.even_or_unit(), 2)
+        return Verdict(True, _SMALL_PRIME_SCREEN, 17)
+    v = small_screen(n, 9, 9)
+    if v is not None:
+        return v
     return mr_with_schedule(n, SEVEN_BASE_SCHEDULE, trace)
 
 
@@ -222,7 +241,7 @@ def reference_oracle64(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     base set. Used as trusted ground truth by the verification drivers."""
     n = require_u64(n)
     if n < 2:
-        return Verdict(False, Stage.even_or_unit())
+        return _UNIT
     for p in ORACLE_BASES:
         if n % p == 0:
             if n == p:
@@ -230,12 +249,3 @@ def reference_oracle64(n: int, trace: list[TraceStep] | None = None) -> Verdict:
             return _ORACLE_DIVISORS[p]
     v = strong_rounds(n, ORACLE_BASES, trace)
     return _ORACLE_PRIME if v is None else v
-
-
-def _small_screen(n: int) -> Verdict:
-    # n < 9 only
-    if n in (2, 3, 5, 7):
-        return Verdict(True, Stage.small_prime_screen(), n)
-    if n < 2:
-        return Verdict(False, Stage.even_or_unit())
-    return Verdict(False, Stage.even_or_unit(), 2)

@@ -18,19 +18,12 @@ import numpy as np
 
 from . import kernel
 from .bigrecipes import recipe256, recipe2048
-from .detprime64 import gauss_euler, mr_ge, mr_ge_first_attempt
 from .modarith import U64_MAX
 from .residues import DEFAULT_SEARCH_CAP
-from .sprp import decompose, reference_oracle64, seven_base_variant, sprp_round
+from .sprp import decompose, sprp_round
 
 # rich (stage-carrying) implementations, for diagnosing any mismatch
-RICH_ALGORITHMS = {
-    "ge": gauss_euler,
-    "mrge": mr_ge,
-    "first": mr_ge_first_attempt,
-    "mr7": seven_base_variant,
-    "oracle": reference_oracle64,
-}
+RICH_ALGORITHMS = {key: spec.rich for key, spec in kernel.ALGOS.items()}
 
 
 class CheckpointError(RuntimeError):
@@ -303,7 +296,7 @@ def search_counterexamples(
         raise ValueError("need 0 <= start <= end < 2**64")
     # the cap the kernel applies, so cap=None and the default compare equal
     run_cap = None
-    if algo in kernel.CAPPED:
+    if kernel.ALGOS[algo].capped:
         run_cap = DEFAULT_SEARCH_CAP if cap is None else cap
     shards = _split_range(start, end, shard_count)
     done: set[tuple[int, int]] = set()

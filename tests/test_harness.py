@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,13 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from primekit import kernel
+from primekit import harness, kernel
 from primekit.harness import (
     BENCH_SETS,
     CSV_HEADER,
     SET4_EXPECTED_LAST,
     SET4_FIRST,
-    compare_backends,
     generate_set,
     main,
     run_bench,
@@ -69,7 +69,8 @@ def test_run_bench_validates_arguments():
 
 
 def test_bench_human_names_backend():
-    for backend, name in (("py", "python"), ("auto", kernel.BACKEND)):
+    for backend, name in (("py", "python"), ("python", "python"),
+                          ("auto", kernel.BACKEND)):
         res = run_bench(1, "mr7", reps=1, backend=backend)
         assert res.backend == name
         assert res.human().endswith(f" backend={name}")
@@ -84,13 +85,6 @@ def test_csv_row_format():
     assert len(fields) == 7
     assert fields[0] == "1" and fields[1] == "mr7" and fields[2] == "1"
     assert int(fields[5]) + int(fields[6]) == 100000
-
-
-def test_compare_backends_smoke():
-    rows = compare_backends(1, algos=("ge",), reps=1)
-    assert {name for _, name, _ in rows} >= {"py"}
-    for _, _, res in rows:
-        assert res.primes == 17983
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -121,11 +115,28 @@ def test_cli_usage_errors():
         ["verify", "--algo", "ge"],  # needs --limit or --random
         ["bench", "--set", "9", "--algo", "ge"],
         ["bigtest", "123"],  # needs --recipe
+        ["verify", "--algo", "ge", "--limit", "100", "--jobs", "0"],
+        ["verify", "--algo", "ge", "--limit", "100", "--jobs", "-3"],
+        ["search", "--algo", "ge", "--from", "3", "--to", "9", "--jobs", "0"],
         ["nonsense"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def _choices(command: str, dest: str) -> set:
+    sub = next(a for a in harness._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return set(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+
+def test_the_algorithm_table_drives_every_choice():
+    for command in ("test", "verify", "search"):
+        assert _choices(command, "algo") == set(kernel.ALGOS), command
+    assert _choices("bench", "algo") == {
+        name for name, spec in kernel.ALGOS.items() if spec.bench}
+    assert _choices("bench", "backend") == set(kernel.BACKEND_CHOICES)
 
 
 def test_cli_out_of_range_input(capsys):
@@ -221,6 +232,9 @@ def test_cli_bench_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("1,ge,1,")
+    argv = ["bench", "--set", "1", "--algo", "mr7", "--reps", "1", "--backend", "python"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip().endswith(" backend=python")
 
 
 def test_cli_env_cap(monkeypatch, capsys):

@@ -136,6 +136,27 @@ def test_compiled_kernel_is_built(kernel_build):
     assert Path(proc.stdout.strip()).is_relative_to(kernel_build)
 
 
+def test_the_algorithm_table_pairs_each_entry_with_its_rich_test():
+    assert {spec.entry: spec.rich for spec in kernel.ALGOS.values()} == RICH
+    assert kernel.ALGORITHMS == {
+        name: getattr(kernel, spec.entry) for name, spec in kernel.ALGOS.items()}
+
+
+def test_backend_exposes_every_entry(impl):
+    for spec in kernel.ALGOS.values():
+        assert callable(getattr(impl, spec.entry)), spec.entry
+
+
+def test_bind_cap_binds_exactly_the_capped_entries():
+    def entry(*args):
+        return args
+
+    for name, spec in kernel.ALGOS.items():
+        assert kernel.bind_cap(name, entry, None) is entry
+        bound = kernel.bind_cap(name, entry, 7)
+        assert bound(5) == ((5, 7) if spec.capped else (5,)), name
+
+
 def test_kernel_parity_small_range(impl):
     for name, rich in RICH.items():
         fn = getattr(impl, name)

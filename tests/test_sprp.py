@@ -17,6 +17,7 @@ from primekit.sprp import (
     reference_oracle64,
     resolve_base,
     seven_base_variant,
+    small_screen,
     sprp_round,
     strong_rounds,
 )
@@ -223,6 +224,18 @@ def test_mr_with_schedule_base_one_passes():
     # isqrt(11 // 2) - 1 == 1: a legal, trivially passing base
     assert resolve_base(SqrtDerived(2, -1), 11) == 1
     assert mr_with_schedule(11, (SqrtDerived(2, -1),)).is_prime
+
+
+def test_small_screen_bounds():
+    assert small_screen(0, 0, 0) == Verdict(False, Stage.even_or_unit())
+    assert small_screen(2, 0, 0) == Verdict(True, Stage.small_prime_screen(), 2)
+    assert small_screen(2**70, 0, 0) == Verdict(False, Stage.even_or_unit(), 2)
+    assert small_screen(97, 100, 0) == Verdict(True, Stage.small_prime_screen(), 97)
+    assert small_screen(91, 100, 100) == Verdict(False, Stage.small_prime_screen(), 7)
+    assert small_screen(91, 100, 0) is None  # odd composites can go on
+    assert small_screen(97, 0, 100) is None  # a prime is never refuted
+    for n in (101, 2**64 + 1):
+        assert small_screen(n, 100, 100) is None
 
 
 def test_seven_base_small_screens():

@@ -245,7 +245,7 @@ def test_rich_tests_validate_input_like_the_kernels(algo):
             want, got = fn(n), fn(np.uint64(n))
             assert (got.is_prime, got.stage.describe()) == (
                 want.is_prime, want.stage.describe()), (algo, n)
-    if algo in kernel.CAPPED:
+    if kernel.ALGOS[algo].capped:
         with pytest.raises(TypeError):
             fn(101, 5.0)
         for n in (101, 341, 10**18 + 3):
