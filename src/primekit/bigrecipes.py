@@ -23,7 +23,8 @@ from .residues import (
     FORM_8K7,
     Form,
 )
-from .sprp import BaseSpec, Literal, SqrtDerived, mr_with_schedule, small_screen
+from .sprp import BaseSpec, Literal, SqrtDerived, _usable_bases, small_screen
+from .sprp import strong_rounds
 from .verdicts import TraceStep, Verdict
 
 
@@ -72,10 +73,9 @@ def run_recipe(
         raise ValueError("n must be >= 0")
     # odd composites below 100 go on to the rounds
     v = small_screen(n, 100, 0)
+    if v is None:
+        v = strong_rounds(n, _usable_bases(n, recipe.mr_bases), trace)
     if v is not None:
-        return v
-    v = mr_with_schedule(n, recipe.mr_bases, trace)
-    if not v.is_prime:
         return v
     return reciprocity_checks(n, recipe.reciprocity_forms, cap, trace)
 

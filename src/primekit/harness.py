@@ -66,7 +66,7 @@ def generate_set(set_id: int) -> list[int]:
     if set_id == 1:
         data = list(range(1, 200000, 2))
     elif set_id == 2:
-        data = [int(p) for p in PrimeSieve(1299709).primes()]
+        data = PrimeSieve(1299709).primes()
         if len(data) != 100000 or data[-1] != 1299709:
             warnings.warn(
                 f"set 2 regenerated as {len(data)} primes ending at {data[-1]}; "
@@ -209,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--jobs", type=_jobs_arg, default=1)
 
     b = sub.add_parser("bench", help="time one algorithm over one fixed set")
-    b.add_argument("--set", dest="set_id", type=int, choices=(1, 2, 3, 4), required=True)
+    b.add_argument("--set", dest="set_id", type=int, choices=BENCH_SETS, required=True)
     b.add_argument("--algo", choices=_BENCHED, required=True)
     b.add_argument("--reps", type=int, default=3)
     b.add_argument("--csv", action="store_true")

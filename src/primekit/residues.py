@@ -31,17 +31,17 @@ EXHAUSTED = "exhausted"
 _TABLE_LIMIT = 8192
 
 
-def _sieve(limit: int) -> bytes:
-    flags = bytearray([1]) * limit
-    flags[:2] = b"\0\0"
-    for p in range(2, math.isqrt(limit - 1) + 1):
+def prime_flags(limit: int) -> bytearray:
+    """The package's one sieve: flags[n] == 1 iff n is prime, 0 <= n <= limit."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = bytes(min(2, limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
-    return bytes(flags)
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
 
 
-# _PRIME_FLAGS[p] == 1 iff p < _TABLE_LIMIT is prime
-_PRIME_FLAGS = _sieve(_TABLE_LIMIT)
+_PRIME_FLAGS = prime_flags(_TABLE_LIMIT - 1)
 
 
 def is_small_prime(p: int) -> bool:

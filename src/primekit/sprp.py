@@ -136,8 +136,11 @@ def mr_with_schedule(
     be vacuous). A base that resolves to 1 legitimately passes.
     """
     v = small_screen(n, 0, 0)
-    if v is not None:
-        return v
+    return _scheduled(n, schedule, trace) if v is None else v
+
+
+def _scheduled(n: int, schedule: tuple[BaseSpec, ...], trace: list | None) -> Verdict:
+    # mr_with_schedule past its screen, for odd n >= 3
     v = strong_rounds(n, _usable_bases(n, schedule), trace)
     if v is not None:
         return v
@@ -231,9 +234,7 @@ def seven_base_variant(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     if n == 17:
         return Verdict(True, _SMALL_PRIME_SCREEN, 17)
     v = small_screen(n, 9, 9)
-    if v is not None:
-        return v
-    return mr_with_schedule(n, SEVEN_BASE_SCHEDULE, trace)
+    return _scheduled(n, SEVEN_BASE_SCHEDULE, trace) if v is None else v
 
 
 def reference_oracle64(n: int, trace: list[TraceStep] | None = None) -> Verdict:

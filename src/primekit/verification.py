@@ -13,13 +13,12 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress
 
 from . import kernel
 from .bigrecipes import recipe256, recipe2048
 from .modarith import U64_MAX
-from .residues import DEFAULT_SEARCH_CAP
+from .residues import DEFAULT_SEARCH_CAP, prime_flags
 from .sprp import decompose, sprp_round
 
 # rich (stage-carrying) implementations, for diagnosing any mismatch
@@ -62,33 +61,26 @@ class PrimeSieve:
                 f"sieve of limit {limit} exceeds the memory budget "
                 f"({memory_limit_bytes} bytes)"
             )
-        flags = np.ones(limit + 1, dtype=bool)
-        flags[: min(2, limit + 1)] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
         self.limit = limit
-        self._flags = flags
+        self._flags = prime_flags(limit)
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:
             raise ValueError("n outside the sieved range")
-        return bool(self._flags[n])
+        return self._flags[n] == 1
 
     def count(self) -> int:
-        return int(np.count_nonzero(self._flags))
+        return self._flags.count(1)
 
-    def primes(self) -> np.ndarray:
-        return np.flatnonzero(self._flags)
+    def primes(self) -> list[int]:
+        return list(compress(range(self.limit + 1), self._flags))
 
     def as_bytes(self) -> bytes:
-        """One byte per n (0/1); bytes indexing is the fastest lookup in
-        tight Python loops."""
-        return self._flags.tobytes()
+        """One byte per n (0/1), as an immutable copy."""
+        return bytes(self._flags)
 
 
-def sieve(limit: int, memory_limit_bytes: int = 2**31) -> PrimeSieve:
-    return PrimeSieve(limit, memory_limit_bytes)
+sieve = PrimeSieve
 
 
 def _algo_callable(algo: str, cap: int | None):
@@ -99,7 +91,13 @@ def _algo_callable(algo: str, cap: int | None):
     return kernel.bind_cap(algo, fn, cap)
 
 
-_worker_sieves: dict[int, bytes] = {}
+def _check_sweep(algo: str, cap: int | None, jobs: int) -> None:
+    _algo_callable(algo, cap)
+    if jobs < 1:
+        raise ValueError(f"need at least one job, not {jobs}")
+
+
+_worker_sieves: dict[int, bytearray] = {}
 
 
 def _ground_truth(limit: int | None):
@@ -109,7 +107,8 @@ def _ground_truth(limit: int | None):
         return kernel.oracle_is_prime
     bm = _worker_sieves.get(limit)
     if bm is None:
-        bm = _worker_sieves[limit] = PrimeSieve(limit).as_bytes()
+        # the flags themselves: a bytes copy would double the peak memory
+        bm = _worker_sieves[limit] = PrimeSieve(limit)._flags
     return bm.__getitem__
 
 
@@ -124,8 +123,8 @@ def _disagreements(algo: str, cap: int | None, ns, limit: int | None) -> list[in
 def _dispatch(tasks: list[tuple], jobs: int):
     """Run ``(algo, cap, ns, limit)`` tasks through ``_disagreements`` and
     yield (task index, disagreements) as each one finishes: in turn in this
-    process when ``jobs <= 1``, else from one pool of ``jobs`` processes."""
-    if jobs <= 1:
+    process when ``jobs == 1``, else from one pool of ``jobs`` processes."""
+    if jobs == 1:
         for i, task in enumerate(tasks):
             yield i, _disagreements(*task)
         return
@@ -154,14 +153,14 @@ def exhaustive_verify(
 ) -> list[MismatchRecord]:
     """Run ``algo`` on n = 2 and every odd n in [3, limit]; compare each
     verdict with the sieve. Returns all mismatches (expected: none)."""
-    _algo_callable(algo, cap)  # validate algo up front
+    _check_sweep(algo, cap, jobs)
     if limit < 2:
         return []
     # n = 2 is checked here, which also builds the sieve before the workers
     # fork, so they share it
     bad = _disagreements(algo, cap, (2,), limit)
     tasks = [(algo, cap, range(lo | 1, hi + 1, 2), limit)
-             for lo, hi in _split_range(3, limit, max(jobs, 1) * 4)]
+             for lo, hi in _split_range(3, limit, jobs * 4)]
     for _, part in _dispatch(tasks, jobs):
         bad.extend(part)
     return _records(algo, cap, bad, limit)
@@ -181,10 +180,10 @@ def random_verify(
     """Compare ``algo`` with the reference oracle on ``count`` seeded random
     odd 64-bit integers. The draw sequence depends only on the seed (Python's
     Mersenne Twister via random.Random), so runs are reproducible."""
-    _algo_callable(algo, cap)
+    _check_sweep(algo, cap, jobs)
     rng = random.Random(seed)
     draws = [random_odd_u64(rng) for _ in range(count)]
-    step = -(-len(draws) // max(jobs, 1)) or 1
+    step = -(-len(draws) // jobs) or 1
     tasks = [(algo, cap, draws[i : i + step], None) for i in range(0, len(draws), step)]
     bad = []
     for _, part in _dispatch(tasks, jobs):
@@ -289,7 +288,7 @@ def search_counterexamples(
     how many pending shards this call runs (used to exercise
     interruption/resume).
     """
-    _algo_callable(algo, cap)
+    _check_sweep(algo, cap, jobs)
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
     if not 0 <= start <= end <= U64_MAX:

@@ -137,6 +137,7 @@ def test_the_algorithm_table_drives_every_choice():
     assert _choices("bench", "algo") == {
         name for name, spec in kernel.ALGOS.items() if spec.bench}
     assert _choices("bench", "backend") == set(kernel.BACKEND_CHOICES)
+    assert _choices("bench", "set_id") == set(BENCH_SETS)
 
 
 def test_cli_out_of_range_input(capsys):
@@ -216,6 +217,22 @@ def test_python_m_primekit_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 8 and all(line.startswith("ok ") for line in lines)
+
+
+def test_the_cli_runs_without_numpy():
+    # numpy is a test dependency only; an import of it anywhere in the
+    # package fails here
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from primekit.harness import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    for argv in (["verify", "--algo", "ge", "--limit", "1000"],
+                 ["test", "341", "--algo", "mrge"],
+                 ["corpus"]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_cli_bigtest(capsys):

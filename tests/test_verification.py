@@ -26,8 +26,11 @@ import random
 
 
 def test_sieve_tiny():
-    sv = sieve(10)
-    assert [int(p) for p in sv.primes()] == [2, 3, 5, 7]
+    for limit, primes in ((0, []), (1, []), (2, [2]), (10, [2, 3, 5, 7])):
+        sv = sieve(limit)
+        assert sv.primes() == primes, limit
+        assert len(sv.as_bytes()) == limit + 1, limit
+        assert sv.count() == len(primes), limit
 
 
 def test_sieve_known_counts():
@@ -116,9 +119,21 @@ def test_search_finds_first_attempt_false_positive():
     assert report.mismatches[0].algo == "first"
 
 
-def test_search_rejects_zero_shards():
+def test_search_rejects_zero_shards(tmp_path):
     with pytest.raises(ValueError):
         search_counterexamples("mrge", 3, 100, 0)
+    # nor does any sweep run with fewer than one job: it refuses before work
+    ck = tmp_path / "search.ckpt"
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            exhaustive_verify("ge", 100, jobs=jobs)
+        with pytest.raises(ValueError):
+            exhaustive_verify("ge", 1, jobs=jobs)
+        with pytest.raises(ValueError):
+            random_verify("ge", 100, seed=1, jobs=jobs)
+        with pytest.raises(ValueError):
+            search_counterexamples("ge", 3, 101, 2, checkpoint_path=str(ck), jobs=jobs)
+        assert not ck.exists()
 
 
 def test_search_rejects_bad_range():
