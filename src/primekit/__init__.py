@@ -12,13 +12,12 @@ The hot 64-bit paths run on a compiled kernel when the extension is built
 from .bigrecipes import RECIPE_256, RECIPE_2048, Recipe, recipe256, recipe2048
 from .detprime64 import (
     SearchCapExceeded,
-    euler_criterion_check,
     gauss_euler,
     mr_ge,
     mr_ge_first_attempt,
 )
 from .kernel import BACKEND
-from .modarith import is_perfect_square, isqrt, mulmod, powmod, sqrt_base
+from .modarith import isqrt, mulmod, powmod
 from .residues import (
     FORM_4K1,
     FORM_4K3,
@@ -30,8 +29,6 @@ from .residues import (
     SearchResult,
     is_small_prime,
     legendre,
-    legendre_two,
-    required_euler_residue,
     smallest_nonresidue_prime,
 )
 from .sprp import (
@@ -65,13 +62,10 @@ __all__ = [
     "TraceStep",
     "Verdict",
     "decompose",
-    "euler_criterion_check",
     "gauss_euler",
-    "is_perfect_square",
     "is_small_prime",
     "isqrt",
     "legendre",
-    "legendre_two",
     "mr_ge",
     "mr_ge_first_attempt",
     "mr_with_schedule",
@@ -80,9 +74,7 @@ __all__ = [
     "recipe256",
     "recipe2048",
     "reference_oracle64",
-    "required_euler_residue",
     "seven_base_variant",
     "smallest_nonresidue_prime",
     "sprp_round",
-    "sqrt_base",
 ]

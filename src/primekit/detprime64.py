@@ -47,20 +47,6 @@ class SearchCapExceeded(RuntimeError):
     verdict (legitimate inputs find a prime within a handful of tries)."""
 
 
-def euler_criterion_check(n: int, a: int) -> tuple[int, int]:
-    """Classify a^((n-1)/2) mod n for odd n and 0 < a < n.
-
-    Returns (sign, residue): sign +1 for residue 1, -1 for residue n-1, and
-    0 for anything else. A prime n gives +-1 for every base coprime to it.
-    """
-    r = pow(a, (n - 1) >> 1, n)
-    if r == 1:
-        return 1, r
-    if r == n - 1:
-        return -1, r
-    return 0, r
-
-
 def gauss_euler(
     n: int,
     cap: int = DEFAULT_SEARCH_CAP,
@@ -170,7 +156,7 @@ def reciprocity_checks(
         status, p, _ = _search(n, form, True, cap)
         if status == FOUND:
             r = pow(p, e, n)
-            # the required_euler_residue rule: (p/n) = +1 only for p, n = 4k+3
+            # by reciprocity, (p/n) = +1 only when p and n are both 4k+3
             ok = r == (1 if p & 3 == 3 and n & 3 == 3 else n - 1)
             # keyed on the form's fields: a Form's generated __hash__ runs in Python
             key = (form.modulus, form.residue, form.first_candidate, p, ok)

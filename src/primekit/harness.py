@@ -40,17 +40,12 @@ SET4_EXPECTED_LAST = 1000000000004133179
 _BENCHED = tuple(name for name, spec in kernel.ALGOS.items() if spec.bench)
 
 
-@dataclass(frozen=True)
-class BenchSet:
-    set_id: int
-    description: str
-
-
-BENCH_SETS = {
-    1: BenchSet(1, "odd 1..199999 (the smallest 100,000 odd numbers)"),
-    2: BenchSet(2, "primes 2..1299709 (the smallest 100,000 primes)"),
-    3: BenchSet(3, "odd 10^18+1..10^18+199999 (100,000 19-digit odd numbers)"),
-    4: BenchSet(4, "100,000 19-digit primes from 1000000000000000003 up"),
+# set id -> what the set holds
+BENCH_SETS: dict[int, str] = {
+    1: "odd 1..199999 (the smallest 100,000 odd numbers)",
+    2: "primes 2..1299709 (the smallest 100,000 primes)",
+    3: "odd 10^18+1..10^18+199999 (100,000 19-digit odd numbers)",
+    4: "100,000 19-digit primes from 1000000000000000003 up",
 }
 
 _set_cache: dict[int, list[int]] = {}

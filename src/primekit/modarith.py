@@ -12,9 +12,6 @@ import operator
 
 U64_MAX = 2**64 - 1
 
-# divisors i admitted under the integer part of sqrt(n/i)
-SQRT_DIVISORS = (1, 2, 3, 5, 7)
-
 
 def mulmod(a: int, b: int, m: int) -> int:
     """Return ``(a * b) % m``, exact for any operand width.
@@ -46,6 +43,7 @@ def powmod(a: int, e: int, m: int) -> int:
     return pow(a, e, m)
 
 
+# kept for the benchmark's tracer, which wraps it by name (perfbench/tracing.py)
 def isqrt(n: int) -> int:
     """Largest k with k*k <= n, in exact integer arithmetic.
 
@@ -53,24 +51,3 @@ def isqrt(n: int) -> int:
     derived test bases, so everything here routes through math.isqrt.
     """
     return math.isqrt(n)
-
-
-def sqrt_base(n: int, divisor: int, offset: int) -> int:
-    """Test base ``isqrt(n // divisor) + offset``.
-
-    For odd n and the admitted divisors, ``isqrt(n // divisor)`` equals the
-    integer part of sqrt(n / divisor): the dropped fractional part of the
-    quotient is < 1 and cannot cross a square boundary. The caller must
-    check the result lands in (0, n) before using it as a base.
-    """
-    if divisor not in SQRT_DIVISORS:
-        raise ValueError(f"divisor must be one of {SQRT_DIVISORS}")
-    return math.isqrt(n // divisor) + offset
-
-
-def is_perfect_square(n: int) -> bool:
-    """True iff n is k*k for some integer k >= 0."""
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n

@@ -113,16 +113,6 @@ def legendre(n: int, p: int) -> int:
     return v  # 0 or +1 for prime p
 
 
-def legendre_two(n: int) -> int:
-    """(2/n) for odd n by the mod-8 rule: +1 iff n % 8 in {1, 7}.
-
-    For prime n this is the sign that 2^((n-1)/2) must take mod n.
-    """
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
-    return 1 if n % 8 in (1, 7) else -1
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a residue-class nonresidue-prime search.
@@ -192,15 +182,3 @@ def _search(n: int, form: Form, abort: bool, cap: int) -> tuple[str, int | None,
                 return SELF_PRIME if candidate == n else DIVISOR, candidate, inspected
         candidate += modulus
     return EXHAUSTED, None, max(cap, 0)
-
-
-def required_euler_residue(n: int, p: int) -> int:
-    """Residue p^((n-1)/2) must take mod n, for prime n with (n/p) = -1.
-
-    Quadratic reciprocity fixes the sign of (p/n): for p = 4k+1 the symbol
-    is -1 outright; for p = 4k+3 it is -1 exactly when n = 4k+1. Returned
-    as the concrete residue, n-1 or 1.
-    """
-    if p % 4 == 1 or n % 4 == 1:
-        return n - 1
-    return 1

@@ -13,6 +13,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 
 from . import kernel
@@ -75,10 +76,6 @@ class PrimeSieve:
     def primes(self) -> list[int]:
         return list(compress(range(self.limit + 1), self._flags))
 
-    def as_bytes(self) -> bytes:
-        """One byte per n (0/1), as an immutable copy."""
-        return bytes(self._flags)
-
 
 sieve = PrimeSieve
 
@@ -97,19 +94,20 @@ def _check_sweep(algo: str, cap: int | None, jobs: int) -> None:
         raise ValueError(f"need at least one job, not {jobs}")
 
 
-_worker_sieves: dict[int, bytearray] = {}
+@lru_cache(maxsize=1)
+def _sieve_flags(limit: int) -> bytearray:
+    """The flags of the last limit sieved in this process; a sweep at a new
+    limit drops the old table. The flags themselves: a bytes copy would
+    double the peak memory."""
+    return PrimeSieve(limit)._flags
 
 
 def _ground_truth(limit: int | None):
-    """n -> 1/True when n is prime: the sieve of ``limit`` when one is given
-    (cached per process), else the reference oracle."""
+    """n -> 1/True when n is prime: the sieve of ``limit`` when one is given,
+    else the reference oracle."""
     if limit is None:
         return kernel.oracle_is_prime
-    bm = _worker_sieves.get(limit)
-    if bm is None:
-        # the flags themselves: a bytes copy would double the peak memory
-        bm = _worker_sieves[limit] = PrimeSieve(limit)._flags
-    return bm.__getitem__
+    return _sieve_flags(limit).__getitem__
 
 
 def _disagreements(algo: str, cap: int | None, ns, limit: int | None) -> list[int]:

@@ -1,18 +1,18 @@
 import pytest
 
-from primekit.verification import PrimeSieve
+from primekit.residues import prime_flags
 
-_sieves: dict[int, bytes] = {}
+_sieves: dict[int, bytearray] = {}
 
 
 @pytest.fixture(scope="session")
 def sieve_bytes():
-    """Session-cached sieve bitmaps keyed by limit (bytes, 1 per prime)."""
+    """Sieve flags by limit, built once per test run (one byte per n, 1 per prime)."""
 
-    def get(limit: int) -> bytes:
+    def get(limit: int) -> bytearray:
         bm = _sieves.get(limit)
         if bm is None:
-            bm = PrimeSieve(limit).as_bytes()
+            bm = prime_flags(limit)
             _sieves[limit] = bm
         return bm
 

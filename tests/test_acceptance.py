@@ -15,7 +15,6 @@ from primekit.residues import (
     FORM_8K5,
     SKIP,
     legendre,
-    legendre_two,
     smallest_nonresidue_prime,
 )
 from primekit.sprp import reference_oracle64, seven_base_variant
@@ -164,8 +163,7 @@ def test_criterion_6_theorem_invariants(sieve_bytes):
     # sign of (2/p) follows the mod-8 rule for every prime below 10^6
     bm = sieve_bytes(10**6)
     mod8_ok = all(
-        legendre(2, p) == legendre_two(p)
-        and (legendre(2, p) == 1) == (p % 8 in (1, 7))
+        (legendre(2, p) == 1) == (p % 8 in (1, 7))
         for p in range(3, 10**6, 2)
         if bm[p] == 1
     )

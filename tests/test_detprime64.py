@@ -4,12 +4,10 @@ import pytest
 
 from primekit.detprime64 import (
     SearchCapExceeded,
-    euler_criterion_check,
     gauss_euler,
     mr_ge,
     mr_ge_first_attempt,
 )
-from primekit.modarith import isqrt
 from primekit.sprp import base2_refuted_by_small_factor
 from primekit.verdicts import (
     DIVISOR_FOUND,
@@ -20,14 +18,6 @@ from primekit.verdicts import (
     SMALL_PRIME_SCREEN,
     SQRT_BASE,
 )
-
-
-def test_euler_criterion_check_classifications():
-    assert euler_criterion_check(46657, 216) == (1, 1)
-    sign, value = euler_criterion_check(172081, 294)
-    assert sign == 0 and value not in (1, 172080)
-    n = 6164578258027337
-    assert euler_criterion_check(n, isqrt(n)) == (-1, n - 1)
 
 
 def test_ge_plumbing_screens():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import primekit
 from primekit import harness, kernel
 from primekit.harness import (
     BENCH_SETS,
@@ -17,6 +18,23 @@ from primekit.harness import (
     main,
     run_bench,
 )
+
+PUBLIC_NAMES = {
+    "BACKEND", "Decomposition", "FORM_4K1", "FORM_4K3", "FORM_8K1", "FORM_8K3",
+    "FORM_8K5", "FORM_8K7", "Form", "RECIPE_256", "RECIPE_2048", "Recipe",
+    "SearchCapExceeded", "SearchResult", "Stage", "TraceStep", "Verdict",
+    "decompose", "gauss_euler", "is_small_prime", "isqrt", "legendre", "mr_ge",
+    "mr_ge_first_attempt", "mr_with_schedule", "mulmod", "powmod", "recipe256",
+    "recipe2048", "reference_oracle64", "seven_base_variant",
+    "smallest_nonresidue_prime", "sprp_round",
+}
+
+
+def test_the_package_exports_exactly_its_public_names():
+    assert set(primekit.__all__) == PUBLIC_NAMES
+    assert len(primekit.__all__) == len(PUBLIC_NAMES)
+    for name in primekit.__all__:
+        assert getattr(primekit, name) is not None, name
 
 
 def test_set1_shape():

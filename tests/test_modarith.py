@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from primekit.modarith import (
     U64_MAX,
-    is_perfect_square,
     isqrt,
     mulmod,
     powmod,
-    sqrt_base,
 )
 
 wide_ints = st.integers(min_value=0, max_value=2**130)
@@ -99,37 +97,9 @@ def test_isqrt_floor_property(n):
     assert r * r <= n < (r + 1) * (r + 1)
 
 
-def test_sqrt_base_known_values():
-    assert sqrt_base(46657, 2, 1) == 153
-    assert sqrt_base(172081, 2, 1) == 294
-    for n in (5, 99, 46657, U64_MAX):
-        assert sqrt_base(n, 1, 0) == isqrt(n)
-
-
-def test_sqrt_base_rejects_unknown_divisor():
-    with pytest.raises(ValueError):
-        sqrt_base(100, 4, 0)
-
-
 def test_sqrt_base_halving_matches_true_root():
     # for odd n, isqrt(n // 2) is the integer part of sqrt(n / 2):
     # k = isqrt(n // 2) must satisfy 2k^2 <= n < 2(k+1)^2
     for n in range(3, 10**6, 2):
         k = isqrt(n >> 1)
         assert 2 * k * k <= n < 2 * (k + 1) * (k + 1)
-
-
-def test_is_perfect_square_examples():
-    assert is_perfect_square(0)
-    assert is_perfect_square(1)
-    assert is_perfect_square(46656)  # 216^2
-    assert not is_perfect_square(46657)
-    assert not is_perfect_square(2)
-    assert not is_perfect_square(-4)
-
-
-@given(k=st.integers(min_value=0, max_value=2**40))
-def test_is_perfect_square_of_squares(k):
-    assert is_perfect_square(k * k)
-    if k >= 2:
-        assert not is_perfect_square(k * k + 1) or k * k + 1 == (k + 1) * (k + 1)

@@ -20,8 +20,6 @@ from primekit.residues import (
     Form,
     is_small_prime,
     legendre,
-    legendre_two,
-    required_euler_residue,
     smallest_nonresidue_prime,
 )
 
@@ -108,15 +106,6 @@ def test_reciprocity_product_small(sieve_bytes):
             assert legendre(p, q) * legendre(q, p) == sign
 
 
-def test_legendre_two_rule(sieve_bytes):
-    bm = sieve_bytes(10**4)
-    for p in range(3, 10**4, 2):
-        if bm[p] == 1:
-            assert legendre_two(p) == legendre(2, p)
-    with pytest.raises(ValueError):
-        legendre_two(10)
-
-
 def test_search_walk_1729():
     # candidates 5 (+1), 13 (0, passed over), 17 (-1)
     res = smallest_nonresidue_prime(1729, FORM_4K1, SKIP)
@@ -167,17 +156,9 @@ def test_abort_found_never_divides(sieve_bytes):
                 assert n % res.prime != 0
 
 
-def test_required_euler_residue_table():
-    # p = 4k+1: always n-1; p = 4k+3: n-1 iff n = 4k+1
-    assert required_euler_residue(46657, 5) == 46656
-    assert required_euler_residue(46657, 17) == 46656
-    assert required_euler_residue(13, 7) == 12  # n = 1 mod 4, p = 3 mod 4
-    assert required_euler_residue(19, 7) == 1  # n = 3 mod 4, p = 3 mod 4
-
-
 def test_required_euler_residue_matches_actual_primes(sieve_bytes):
-    # for genuine primes n, the table must equal the computed half-power
-    # whenever (n/p) = -1
+    # for genuine primes n with (n/p) = -1, reciprocity fixes the half-power
+    # p^((n-1)/2) mod n: 1 when p and n are both 4k+3, else n-1
     bm = sieve_bytes(2000)
     small = [p for p in range(3, 60, 2) if bm[p] == 1]
     for n in range(9, 2000, 2):
@@ -185,7 +166,8 @@ def test_required_euler_residue_matches_actual_primes(sieve_bytes):
             continue
         for p in small:
             if p != n and legendre(n, p) == -1:
-                assert pow(p, (n - 1) // 2, n) == required_euler_residue(n, p)
+                required = 1 if p % 4 == 3 and n % 4 == 3 else n - 1
+                assert pow(p, (n - 1) // 2, n) == required
 
 
 _trial_prime_cached = {}

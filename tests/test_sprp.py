@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primekit.residues import is_small_prime, legendre_two
+from primekit.residues import is_small_prime
 from primekit.sprp import (
     ORACLE_BASES,
     SEVEN_BASE_SCHEDULE,
@@ -55,7 +55,8 @@ def test_sprp_round_known_cases():
 
 
 def _euler_jacobi_holds(n):
-    return pow(2, (n - 1) // 2, n) == (1 if legendre_two(n) == 1 else n - 1)
+    # (2/n) = +1 iff n = 8k+1 or 8k+7
+    return pow(2, (n - 1) // 2, n) == (1 if n % 8 in (1, 7) else n - 1)
 
 
 def test_small_factor_refutation_is_exact_to_1e6():
@@ -81,7 +82,7 @@ def _refuted_by_definition(n):
     # 150 <= p < 4096 dividing n as well
     primes = SMALL_ODD_PRIMES + (MID_PRIMES if n >= 2**64 else ())
     g = prod(p for p in primes if n % p == 0)
-    sign = 1 if legendre_two(n) == 1 else g - 1
+    sign = 1 if n % 8 in (1, 7) else g - 1
     return g > 1 and pow(2, (n - 1) // 2, g) != sign
 
 

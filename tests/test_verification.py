@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from primekit import kernel
+from primekit import kernel, verification
 from primekit.residues import is_small_prime
 from primekit.verification import (
     CORPUS,
@@ -29,7 +29,9 @@ def test_sieve_tiny():
     for limit, primes in ((0, []), (1, []), (2, [2]), (10, [2, 3, 5, 7])):
         sv = sieve(limit)
         assert sv.primes() == primes, limit
-        assert len(sv.as_bytes()) == limit + 1, limit
+        sv.is_prime(limit)
+        with pytest.raises(ValueError):
+            sv.is_prime(limit + 1)
         assert sv.count() == len(primes), limit
 
 
@@ -40,9 +42,8 @@ def test_sieve_known_counts():
 
 def test_sieve_matches_trial_division():
     sv = PrimeSieve(10**5)
-    bm = sv.as_bytes()
     for n in range(10**5 + 1):
-        assert (bm[n] == 1) == is_small_prime(n)
+        assert sv.is_prime(n) == is_small_prime(n)
 
 
 def test_sieve_bounds_and_memory_guard():
@@ -65,6 +66,21 @@ def test_exhaustive_verify_clean_to_1e6():
 
 def test_exhaustive_verify_parallel_agrees():
     assert exhaustive_verify("ge", 3 * 10**4, jobs=2) == []
+
+
+def test_sweeps_keep_only_the_last_sieve():
+    limits = (10**5, 2 * 10**5, 3 * 10**5)
+    for limit in limits:
+        assert exhaustive_verify("ge", limit) == []
+    cached = verification._sieve_flags
+    info = cached.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
+    # the last limit's table is held: asking again builds nothing
+    assert len(cached(limits[-1])) == limits[-1] + 1
+    assert cached.cache_info().misses == info.misses
+    # an earlier one was dropped: asking again builds it anew
+    cached(limits[0])
+    assert cached.cache_info().misses == info.misses + 1
 
 
 def test_search_clean_range():
