@@ -35,6 +35,10 @@ class Recipe:
     mr_bases: tuple[BaseSpec, ...]
     reciprocity_forms: tuple[Form, ...]
 
+    def __post_init__(self):
+        if not self.reciprocity_forms:
+            raise ValueError("a recipe needs at least one reciprocity form")
+
 
 RECIPE_256 = Recipe(
     name="recipe256",

@@ -2,16 +2,16 @@
 
 The deterministic tests repeatedly need the smallest prime p in an
 arithmetic progression (4k+1, 8k+5, ...) such that n is a quadratic
-non-residue mod p. The search walks a table of the progression's primes
-below 8,192, built once per form from a sieve; candidates beyond the
-table, reachable only with a cap above the default, are checked by trial
-division. The symbol (n/p) is evaluated by Euler's criterion modulo the
-small p, which is cheap because p stays tiny in practice.
+non-residue mod p. The search walks the progression one candidate at a
+time from the form's first candidate; a candidate below 8,192 is known
+prime from a sieve table, and one above it, reachable only with a cap
+above the default, by trial division. The symbol (n/p) is evaluated by
+Euler's criterion modulo the small p, which is cheap because p stays tiny
+in practice.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 DEFAULT_SEARCH_CAP = 1000
 
@@ -63,7 +63,8 @@ def is_small_prime(p: int) -> bool:
 @dataclass(frozen=True)
 class Form:
     """Arithmetic progression modulus*k + residue that auxiliary primes are
-    drawn from, starting at its smallest prime member."""
+    drawn from. The search starts at first_candidate, a prime member that
+    need not be the smallest: Form(8, 5, 13) skips 5."""
 
     modulus: int
     residue: int
@@ -81,14 +82,6 @@ class Form:
 
     def __str__(self) -> str:
         return f"{self.modulus}k+{self.residue}"
-
-    @cached_property
-    def _table_primes(self) -> tuple[int, ...]:
-        # the progression's primes from the first candidate to below _TABLE_LIMIT
-        return tuple(
-            p for p in range(self.first_candidate, _TABLE_LIMIT, self.modulus)
-            if _PRIME_FLAGS[p]
-        )
 
 
 FORM_4K1 = Form(4, 1, 5)
@@ -159,26 +152,15 @@ def _search(n: int, form: Form, abort: bool, cap: int) -> tuple[str, int | None,
     """smallest_nonresidue_prime as a (status, prime, inspected) tuple;
     ``abort`` selects policy ``abort`` over ``skip``."""
     modulus = form.modulus
-    first = form.first_candidate
-    limit = first + cap * modulus  # candidates past the cap start here
-    for p in form._table_primes:
-        if p >= limit:
-            return EXHAUSTED, None, max(cap, 0)
-        symbol = pow(n % p, p >> 1, p)
-        if symbol == p - 1:
-            return FOUND, p, (p - first) // modulus + 1
-        if symbol == 0 and abort:
-            return SELF_PRIME if p == n else DIVISOR, p, (p - first) // modulus + 1
-    # past the table: the first candidate at or above _TABLE_LIMIT onwards
-    inspected = max(0, -((first - _TABLE_LIMIT) // modulus))
-    candidate = first + inspected * modulus
+    p = form.first_candidate
+    inspected = 0
     while inspected < cap:
         inspected += 1
-        if is_small_prime(candidate):
-            symbol = pow(n % candidate, candidate >> 1, candidate)
-            if symbol == candidate - 1:
-                return FOUND, candidate, inspected
+        if _PRIME_FLAGS[p] if p < _TABLE_LIMIT else is_small_prime(p):
+            symbol = pow(n % p, p >> 1, p)
+            if symbol == p - 1:
+                return FOUND, p, inspected
             if symbol == 0 and abort:
-                return SELF_PRIME if candidate == n else DIVISOR, candidate, inspected
-        candidate += modulus
+                return SELF_PRIME if p == n else DIVISOR, p, inspected
+        p += modulus
     return EXHAUSTED, None, max(cap, 0)

@@ -133,7 +133,8 @@ def mr_with_schedule(
 
     Works for any integer width. Resolved bases are reduced mod n; a base
     that resolves to <= 0 or to a multiple of n is skipped (its round would
-    be vacuous). A base that resolves to 1 legitimately passes.
+    be vacuous). A base that resolves to 1 legitimately passes. A schedule
+    with no usable base for n raises ValueError rather than call n prime.
     """
     v = small_screen(n, 0, 0)
     return _scheduled(n, schedule, trace) if v is None else v
@@ -146,7 +147,9 @@ def _scheduled(n: int, schedule: tuple[BaseSpec, ...], trace: list | None) -> Ve
         return v
     # the verdict names the last round run
     last = next(_usable_bases(n, reversed(schedule)), None)
-    return Verdict(True, _SMALL_PRIME_SCREEN if last is None else Stage.mr_round(last))
+    if last is None:
+        raise ValueError(f"no base of the schedule is usable for n = {n}")
+    return Verdict(True, Stage.mr_round(last))
 
 
 def _usable_bases(n: int, schedule: Iterable[BaseSpec]) -> Iterator[int]:

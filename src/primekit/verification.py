@@ -13,7 +13,6 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 
 from . import kernel
@@ -51,16 +50,20 @@ class MismatchRecord:
         )
 
 
+# one byte per flag: the largest sieve is limit 2^31 - 1
+SIEVE_MEMORY_LIMIT_BYTES = 2**31
+
+
 class PrimeSieve:
     """Eratosthenes primality bitmap for all n <= limit."""
 
-    def __init__(self, limit: int, memory_limit_bytes: int = 2**31):
+    def __init__(self, limit: int):
         if limit < 0:
             raise ValueError("limit must be >= 0")
-        if limit + 1 > memory_limit_bytes:
+        if limit + 1 > SIEVE_MEMORY_LIMIT_BYTES:
             raise ValueError(
                 f"sieve of limit {limit} exceeds the memory budget "
-                f"({memory_limit_bytes} bytes)"
+                f"({SIEVE_MEMORY_LIMIT_BYTES} bytes)"
             )
         self.limit = limit
         self._flags = prime_flags(limit)
@@ -94,12 +97,18 @@ def _check_sweep(algo: str, cap: int | None, jobs: int) -> None:
         raise ValueError(f"need at least one job, not {jobs}")
 
 
-@lru_cache(maxsize=1)
+_last_sieve: tuple[int, bytearray] | None = None  # (limit, flags)
+
+
 def _sieve_flags(limit: int) -> bytearray:
     """The flags of the last limit sieved in this process; a sweep at a new
-    limit drops the old table. The flags themselves: a bytes copy would
-    double the peak memory."""
-    return PrimeSieve(limit)._flags
+    limit drops the old table before it builds the next. The flags
+    themselves: a bytes copy would double the peak memory."""
+    global _last_sieve
+    if _last_sieve is None or _last_sieve[0] != limit:
+        _last_sieve = None  # dropped before the next one is built
+        _last_sieve = (limit, PrimeSieve(limit)._flags)
+    return _last_sieve[1]
 
 
 def _ground_truth(limit: int | None):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from primekit.bigrecipes import RECIPE_256, RECIPE_2048, recipe256, recipe2048
+from primekit.bigrecipes import RECIPE_256, RECIPE_2048, Recipe, recipe256, recipe2048
 from primekit.sprp import Literal, SqrtDerived
 from primekit.verdicts import MR_ROUND
 from primekit.verification import random_base_sprp
@@ -24,6 +24,11 @@ def test_recipe_shapes():
     ]
     # amendable definitions stay identifiable
     assert RECIPE_256.revision == 1 and RECIPE_2048.revision == 1
+
+
+def test_recipe_needs_a_reciprocity_form():
+    with pytest.raises(ValueError, match="reciprocity form"):
+        Recipe("none", 1, RECIPE_256.mr_bases, ())
 
 
 def test_small_screens():

@@ -227,6 +227,15 @@ def test_mr_with_schedule_base_one_passes():
     assert mr_with_schedule(11, (SqrtDerived(2, -1),)).is_prime
 
 
+def test_mr_with_schedule_refuses_a_schedule_with_no_usable_base():
+    # every base is skipped (none at all, n itself, a multiple of n), so no
+    # round runs and the verdict would rest on nothing
+    for n, schedule in ((15, (Literal(15),)), (21, (Literal(42),)), (15, ()),
+                        (3, (Literal(3), Literal(0)))):
+        with pytest.raises(ValueError, match="no base"):
+            mr_with_schedule(n, schedule)
+
+
 def test_small_screen_bounds():
     assert small_screen(0, 0, 0) == Verdict(False, Stage.even_or_unit())
     assert small_screen(2, 0, 0) == Verdict(True, Stage.small_prime_screen(), 2)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,8 +51,9 @@ def test_sieve_bounds_and_memory_guard():
     sv = PrimeSieve(100)
     with pytest.raises(ValueError):
         sv.is_prime(101)
-    with pytest.raises(ValueError):
-        PrimeSieve(10**7, memory_limit_bytes=10**6)
+    # one byte per flag, so the budget refuses limit 2^31 before allocating
+    with pytest.raises(ValueError, match="exceeds the memory budget"):
+        PrimeSieve(2**31)
 
 
 def test_exhaustive_verify_clean_small():
@@ -68,19 +70,46 @@ def test_exhaustive_verify_parallel_agrees():
     assert exhaustive_verify("ge", 3 * 10**4, jobs=2) == []
 
 
-def test_sweeps_keep_only_the_last_sieve():
+def test_sweeps_keep_only_the_last_sieve(monkeypatch):
+    built = []
+
+    class CountingSieve(PrimeSieve):
+        def __init__(self, limit):
+            built.append(limit)
+            super().__init__(limit)
+
+    monkeypatch.setattr(verification, "PrimeSieve", CountingSieve)
+    monkeypatch.setattr(verification, "_last_sieve", None)
     limits = (10**5, 2 * 10**5, 3 * 10**5)
     for limit in limits:
         assert exhaustive_verify("ge", limit) == []
-    cached = verification._sieve_flags
-    info = cached.cache_info()
-    assert (info.maxsize, info.currsize) == (1, 1)
-    # the last limit's table is held: asking again builds nothing
-    assert len(cached(limits[-1])) == limits[-1] + 1
-    assert cached.cache_info().misses == info.misses
+    assert built == list(limits)
+    # one table is held, the last limit's, and asking again builds nothing
+    assert verification._last_sieve[0] == limits[-1]
+    assert len(verification._sieve_flags(limits[-1])) == limits[-1] + 1
+    assert built == list(limits)
     # an earlier one was dropped: asking again builds it anew
-    cached(limits[0])
-    assert cached.cache_info().misses == info.misses + 1
+    verification._sieve_flags(limits[0])
+    assert built == [*limits, limits[0]]
+
+
+def _sieve_peak_bytes(earlier, limit):
+    # traced peak while the ground-truth sieve of limit is built right after
+    # that of earlier; tracing starts first, so dropping earlier's table counts
+    tracemalloc.start()
+    try:
+        verification._sieve_flags(earlier)
+        tracemalloc.reset_peak()
+        verification._sieve_flags(limit)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_old_sieve_is_dropped_before_the_next_is_built():
+    alone = _sieve_peak_bytes(1, 3 * 10**6)
+    # holding the 2*10^6 table meanwhile would add 2 MB to the peak
+    assert _sieve_peak_bytes(2 * 10**6, 3 * 10**6) < alone + 10**6
 
 
 def test_search_clean_range():
