@@ -3,7 +3,8 @@
 Deterministic 64-bit tests built on Euler's criterion and quadratic
 reciprocity (``gauss_euler``, ``mr_ge``), a seven-base strong-round
 comparison variant, probabilistic recipes for 256-bit/2048-bit candidates,
-and a verification-and-benchmark harness with sieve and reference oracles.
+and a verification-and-benchmark harness whose ground truth is a sieve or
+the Baillie-PSW test (``bpsw``).
 
 The hot 64-bit paths run on a compiled kernel when the extension is built
 (``primekit.kernel.BACKEND == "c"``) and fall back to pure Python otherwise.
@@ -33,6 +34,7 @@ from .residues import (
 )
 from .sprp import (
     Decomposition,
+    bpsw,
     decompose,
     mr_with_schedule,
     reference_oracle64,
@@ -61,6 +63,7 @@ __all__ = [
     "Stage",
     "TraceStep",
     "Verdict",
+    "bpsw",
     "decompose",
     "gauss_euler",
     "is_small_prime",

@@ -212,6 +212,142 @@ static int oracle(uint64_t n)
     return strong_rounds(n, ORACLE_BASES, 12);
 }
 
+/* --- Baillie-PSW: its own base-2 round and Lucas ladder, apart from
+   strong_rounds, so that it can referee the tests above ------------------- */
+
+static inline uint64_t addmod64(uint64_t a, uint64_t b, uint64_t m)
+{
+    u128 s = (u128)a + b;
+    return (uint64_t)(s >= m ? s - m : s);
+}
+
+static inline uint64_t submod64(uint64_t a, uint64_t b, uint64_t m)
+{
+    return a >= b ? a - b : a + (m - b);
+}
+
+/* a / 2 mod odd m, for a < m */
+static inline uint64_t halfmod64(uint64_t a, uint64_t m)
+{
+    return (uint64_t)(((a & 1) ? (u128)a + m : (u128)a) >> 1);
+}
+
+static int base2_strong(uint64_t n)
+{
+    uint64_t t = n - 1, b;
+    int s = 0;
+    while (!(t & 1)) {
+        s++;
+        t >>= 1;
+    }
+    b = powmod64(2, t, n);
+    if (b == 1 || b == n - 1)
+        return 1;
+    while (--s > 0) {
+        b = mulmod64(b, b, n);
+        if (b == n - 1)
+            return 1;
+        if (b == 1)
+            return 0;
+    }
+    return 0;
+}
+
+/* Jacobi symbol (a/n) for odd n >= 3, by binary reciprocity */
+static int jacobi(uint64_t a, uint64_t n)
+{
+    uint64_t r;
+    int j = 1;
+    a %= n;
+    while (a) {
+        while (!(a & 1)) {
+            a >>= 1;
+            if ((n & 7) == 3 || (n & 7) == 5)
+                j = -j;
+        }
+        r = a;
+        a = n;
+        n = r;
+        if ((a & 3) == 3 && (n & 3) == 3)
+            j = -j;
+        a %= n;
+    }
+    return n == 1 ? j : 0;
+}
+
+/* Strong Lucas test of odd n with P = 1, Q = (1 - D)/4, where D = a, or
+   D = -a when neg, and (D/n) = -1. With n + 1 = 2^s * t, t odd, n passes
+   when U_t = 0 or V_(t*2^r) = 0 (mod n) for some 0 <= r < s. The ladder
+   walks the bits of t with U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k,
+   U_(2k+1) = (U_2k + V_2k)/2 and V_(2k+1) = (D U_2k + V_2k)/2. */
+static int strong_lucas(uint64_t n, uint64_t a, int neg)
+{
+    /* n + 1 overflows only at n = 2^64 - 1, a multiple of 3 that trial
+       division has already refuted */
+    uint64_t t = n + 1, dm, qm, u = 1, v = 1, qk, du;
+    int s = 0, bit = 63;
+    while (!(t & 1)) {
+        s++;
+        t >>= 1;
+    }
+    dm = neg ? n - a : a;
+    /* Q = (1 - a)/4 <= 0 when D = a > 0, and (1 + a)/4 > 0 when D = -a */
+    qm = neg ? (a + 1) >> 2 : n - ((a - 1) >> 2);
+    qk = qm;
+    while (!(t >> bit & 1))
+        bit--;
+    while (bit-- > 0) {
+        u = mulmod64(u, v, n);
+        v = submod64(mulmod64(v, v, n), addmod64(qk, qk, n), n);
+        qk = mulmod64(qk, qk, n);
+        if (t >> bit & 1) {
+            du = mulmod64(dm, u, n);
+            u = halfmod64(addmod64(u, v, n), n);
+            v = halfmod64(addmod64(du, v, n), n);
+            qk = mulmod64(qk, qm, n);
+        }
+    }
+    if (u == 0 || v == 0)
+        return 1;
+    while (--s > 0) {
+        v = submod64(mulmod64(v, v, n), addmod64(qk, qk, n), n);
+        if (v == 0)
+            return 1;
+        qk = mulmod64(qk, qk, n);
+    }
+    return 0;
+}
+
+static int bpsw(uint64_t n)
+{
+    uint64_t m, a;
+    int i, j, neg;
+    if (n < 2)
+        return 0;
+    for (i = 0; i < 12; i++)
+        if (n % ORACLE_BASES[i] == 0)
+            return n == ORACLE_BASES[i];
+    if (n < 41 * 41)
+        return 1;
+    if (!base2_strong(n))
+        return 0;
+    m = isqrt64(n);
+    if (m * m == n)
+        return 0; /* the D search below would never end */
+    /* Selfridge: the first D of 5, -7, 9, -11, ... with (D/n) = -1; since
+       (-1/n) = -1 exactly when n = 4k+3, (-a/n) = -(a/n) there */
+    for (a = 5, neg = 0;; a += 2, neg = !neg) {
+        j = jacobi(a, n);
+        if (neg && (n & 3) == 3)
+            j = -j;
+        if (j == -1)
+            break;
+        if (j == 0)
+            return 0; /* 1 < gcd(a, n) < n */
+    }
+    return strong_lucas(n, a, neg);
+}
+
 /* --- argument conversion -------------------------------------------------- */
 
 /* PyLong_AsUnsignedLongLong takes a slow path for multi-digit ints on
@@ -356,6 +492,12 @@ static PyObject *py_oracle_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
     return as_u64(arg, &n) ? NULL : PyBool_FromLong(oracle(n));
 }
 
+static PyObject *py_bpsw_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    uint64_t n;
+    return as_u64(arg, &n) ? NULL : PyBool_FromLong(bpsw(n));
+}
+
 #define FASTCALL(fn) (PyCFunction)(void (*)(void))(fn), METH_FASTCALL
 
 static PyMethodDef methods[] = {
@@ -378,6 +520,8 @@ static PyMethodDef methods[] = {
      "mr7_is_prime($module, n, /)\n--\n\nThe seven-base strong-round variant."},
     {"oracle_is_prime", py_oracle_is_prime, METH_O,
      "oracle_is_prime($module, n, /)\n--\n\nThe twelve-base reference oracle."},
+    {"bpsw_is_prime", py_bpsw_is_prime, METH_O,
+     "bpsw_is_prime($module, n, /)\n--\n\nThe Baillie-PSW test."},
     {NULL, NULL, 0, NULL},
 };
 

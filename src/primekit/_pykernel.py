@@ -13,7 +13,7 @@ from . import modarith
 from .detprime64 import gauss_euler, mr_ge, mr_ge_first_attempt
 from .modarith import require_u64
 from .residues import DEFAULT_SEARCH_CAP
-from .sprp import reference_oracle64, seven_base_variant
+from .sprp import bpsw, reference_oracle64, seven_base_variant
 
 BACKEND_NAME = "python"
 
@@ -48,3 +48,7 @@ def mr7_is_prime(n, /):
 
 def oracle_is_prime(n, /):
     return reference_oracle64(n).is_prime
+
+
+def bpsw_is_prime(n, /):
+    return bpsw(n).is_prime

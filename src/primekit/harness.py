@@ -24,6 +24,7 @@ from .bigrecipes import recipe256, recipe2048
 from .residues import DEFAULT_SEARCH_CAP
 from .verification import (
     CheckpointError,
+    REFEREE,
     PrimeSieve,
     RICH_ALGORITHMS,
     corpus_verify,
@@ -76,11 +77,12 @@ def generate_set(set_id: int) -> list[int]:
 
 
 def _build_set4() -> list[int]:
-    oracle = kernel.oracle_is_prime
+    # the referee of the random and search sweeps, so there is one ground truth
+    is_prime = kernel.ALGORITHMS[REFEREE]
     out = []
     n = SET4_FIRST
     while len(out) < 100000:
-        if oracle(n):
+        if is_prime(n):
             out.append(n)
         n += 2
     if out[0] != SET4_FIRST or out[-1] != SET4_EXPECTED_LAST:
@@ -198,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--limit", type=_int_arg, help="odd 3..limit plus 2, vs sieve")
     grp.add_argument(
         "--random", type=_int_arg, metavar="COUNT",
-        help="seeded random odd 64-bit draws, vs the reference oracle",
+        help="seeded random odd 64-bit draws, vs the bpsw referee",
     )
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--jobs", type=_jobs_arg, default=1)
@@ -210,7 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--csv", action="store_true")
     b.add_argument("--backend", choices=kernel.BACKEND_CHOICES, default="auto")
 
-    s = sub.add_parser("search", help="scan a range for oracle disagreements")
+    s = sub.add_parser(
+        "search", help="scan a range for disagreements with the bpsw referee"
+    )
     s.add_argument("--algo", choices=algos, required=True)
     s.add_argument("--from", dest="start", type=_int_arg, required=True)
     s.add_argument("--to", dest="end", type=_int_arg, required=True)

@@ -41,6 +41,7 @@ ALGOS = {
     "oracle": AlgoSpec(
         "oracle_is_prime", sprp.reference_oracle64, capped=False, bench=False
     ),
+    "bpsw": AlgoSpec("bpsw_is_prime", sprp.bpsw, capped=False, bench=True),
 }
 
 
@@ -98,5 +99,6 @@ mrge_is_prime = _impl.mrge_is_prime
 first_attempt_is_prime = _impl.first_attempt_is_prime
 mr7_is_prime = _impl.mr7_is_prime
 oracle_is_prime = _impl.oracle_is_prime
+bpsw_is_prime = _impl.bpsw_is_prime
 
 ALGORITHMS = {key: getattr(_impl, spec.entry) for key, spec in ALGOS.items()}

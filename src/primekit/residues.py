@@ -32,12 +32,18 @@ _TABLE_LIMIT = 8192
 
 
 def prime_flags(limit: int) -> bytearray:
-    """The package's one sieve: flags[n] == 1 iff n is prime, 0 <= n <= limit."""
-    flags = bytearray([1]) * (limit + 1)
-    flags[:2] = bytes(min(2, limit + 1))
-    for p in range(2, math.isqrt(limit) + 1):
+    """The package's one sieve: flags[n] == 1 iff n is prime, 0 <= n <= limit.
+
+    It starts from the odd numbers, so only odd multiples of odd primes are
+    struck, and the largest temporary is a sixth of the table. The zeros
+    are a bytearray: a slice assignment would copy bytes first.
+    """
+    flags = bytearray(b"\x00\x01") * (limit // 2 + 1)
+    del flags[limit + 1 :]
+    flags[1:3] = b"\x00\x01"[:limit]  # 1 is not prime, 2 is
+    for p in range(3, math.isqrt(limit) + 1, 2):
         if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+            flags[p * p :: 2 * p] = bytearray(len(range(p * p, limit + 1, 2 * p)))
     return flags
 
 

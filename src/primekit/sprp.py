@@ -104,6 +104,7 @@ SEVEN_BASE_SCHEDULE: tuple[BaseSpec, ...] = (
 # sets; external knowledge, independent of the tests under study here.
 ORACLE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _ORACLE_DIVISORS = {p: Verdict(False, Stage.divisor_found(p), p) for p in ORACLE_BASES}
+_ORACLE_SMALL_PRIMES = {p: Verdict(True, _SMALL_PRIME_SCREEN, p) for p in ORACLE_BASES}
 _ORACLE_PRIME = Verdict(True, Stage.mr_round(ORACLE_BASES[-1]))
 
 
@@ -240,16 +241,146 @@ def seven_base_variant(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     return _scheduled(n, SEVEN_BASE_SCHEDULE, trace) if v is None else v
 
 
-def reference_oracle64(n: int, trace: list[TraceStep] | None = None) -> Verdict:
-    """Exact primality verdict for any n < 2^64, via the fixed twelve-prime
-    base set. Used as trusted ground truth by the verification drivers."""
-    n = require_u64(n)
+def _trial_division(n: int) -> Verdict | None:
+    # the verdict of n < 2 and of n with a prime factor <= 37; None otherwise
     if n < 2:
         return _UNIT
     for p in ORACLE_BASES:
         if n % p == 0:
-            if n == p:
-                return Verdict(True, _SMALL_PRIME_SCREEN, p)
-            return _ORACLE_DIVISORS[p]
-    v = strong_rounds(n, ORACLE_BASES, trace)
+            return _ORACLE_SMALL_PRIMES[p] if n == p else _ORACLE_DIVISORS[p]
+    return None
+
+
+def reference_oracle64(n: int, trace: list[TraceStep] | None = None) -> Verdict:
+    """Exact primality verdict for any n < 2^64, via the fixed twelve-prime
+    base set. An algorithm checked against ``bpsw``, which it shares no
+    strong-round code with."""
+    n = require_u64(n)
+    v = _trial_division(n)
+    if v is None:
+        v = strong_rounds(n, ORACLE_BASES, trace)
     return _ORACLE_PRIME if v is None else v
+
+
+# --- Baillie-PSW: the referee of the random and search sweeps ----------------
+
+_STRONG_LUCAS = Stage.strong_lucas()
+_BPSW_PRIME = Verdict(True, _STRONG_LUCAS)
+# no prime factor <= 37 and n < 41^2 proves n prime
+_NO_SMALL_FACTOR = Verdict(True, _SMALL_PRIME_SCREEN)
+_LUCAS_FAILURES: dict[int, Verdict] = {}  # by D; Selfridge's D stays small
+
+
+def bpsw(n: int, trace: list[TraceStep] | None = None) -> Verdict:
+    """Baillie-PSW verdict for 0 <= n < 2^64: trial division by the primes
+    up to 37, one base-2 strong round, then a strong Lucas test with P = 1,
+    Q = (1 - D)/4 and Selfridge's D, the first of 5, -7, 9, -11, ... with
+    (D/n) = -1 (Baillie & Wagstaff 1980). It is reported exact below 2^64.
+
+    It runs none of the strong-round code of the tests it referees. A
+    square fails at ``divisor-found(isqrt(n))`` before the D search, which
+    would never end on it; a composite that passes base 2 fails at
+    ``strong-lucas`` with D as the witness.
+    """
+    n = require_u64(n)
+    v = _trial_division(n)
+    if v is not None:
+        return v
+    if n < 1681:
+        return _NO_SMALL_FACTOR
+    ok = _base2_strong(n)
+    if trace is not None:
+        trace.append(TraceStep(_BASE2_FAILURE.stage, None, ok))
+    if not ok:
+        return _BASE2_FAILURE
+    # the verdicts of a square and of a D sharing a factor with n are built
+    # per call: both need a base-2 strong pseudoprime, which is rare
+    m = isqrt(n)
+    if m * m == n:
+        return _divisor(m, trace)
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:  # 1 < gcd(|D|, n) < n, as |D| stays far below n >= 41^2
+            return _divisor(gcd(d, n), trace)
+        d = -d - 2 if d > 0 else 2 - d
+    ok = _strong_lucas(n, d)
+    if trace is not None:
+        trace.append(TraceStep(_STRONG_LUCAS, d, ok))
+    if ok:
+        return _BPSW_PRIME
+    v = _LUCAS_FAILURES.get(d)
+    if v is None:
+        v = _LUCAS_FAILURES[d] = Verdict(False, _STRONG_LUCAS, d)
+    return v
+
+
+def _divisor(p: int, trace: list | None) -> Verdict:
+    stage = Stage.divisor_found(p)
+    if trace is not None:
+        trace.append(TraceStep(stage, p, False))
+    return Verdict(False, stage, p)
+
+
+def _base2_strong(n: int) -> bool:
+    # the base-2 strong round of odd n >= 3, apart from strong_rounds
+    n1 = n - 1
+    s = (n1 & -n1).bit_length() - 1
+    b = pow(2, n1 >> s, n)
+    if b == 1 or b == n1:
+        return True
+    for _ in range(s - 1):
+        b = b * b % n
+        if b == n1:
+            return True
+        if b == 1:
+            return False
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 3, by binary reciprocity."""
+    a %= n
+    j = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                j = -j
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            j = -j
+        a %= n
+    return j if n == 1 else 0
+
+
+def _strong_lucas(n: int, d: int) -> bool:
+    """The strong Lucas test of odd n with P = 1, Q = (1 - d)/4, (d/n) = -1.
+
+    With n + 1 = 2^s * t, t odd, n passes when U_t = 0 or V_(t*2^r) = 0
+    (mod n) for some 0 <= r < s. The ladder carries (V_k, V_(k+1), Q^k) up
+    the bits of t: V_2k = V_k^2 - 2Q^k and V_(2k+1) = V_k V_(k+1) - Q^k.
+    U_t comes from d U_t = 2 V_(t+1) - V_t, and d is a unit mod n.
+    """
+    q = (1 - d) >> 2  # small and signed: cheaper products than q mod n
+    q2 = 2 * q
+    n1 = n + 1
+    s = (n1 & -n1).bit_length() - 1
+    t = n1 >> s
+    v, w, qk = 1, (1 - q2) % n, q % n  # V_1, V_2, Q^1
+    for bit in bin(t)[3:]:
+        if bit == "1":
+            v = (v * w - qk) % n
+            w = (w * w - qk * q2) % n
+            qk = qk * qk * q % n
+        else:
+            w = (v * w - qk) % n
+            v = (v * v - 2 * qk) % n
+            qk = qk * qk % n
+    if v == 0 or (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False

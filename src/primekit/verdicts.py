@@ -10,6 +10,7 @@ SMALL_PRIME_SCREEN = "small-prime-screen"
 MOD8_EULER = "mod8-euler"
 SQRT_BASE = "sqrt-base"
 MR_ROUND = "mr-round"
+STRONG_LUCAS = "strong-lucas"
 RECIPROCITY = "reciprocity"
 DIVISOR_FOUND = "divisor-found"
 
@@ -42,6 +43,10 @@ class Stage:
     @classmethod
     def mr_round(cls, base: int) -> "Stage":
         return cls(MR_ROUND, base=base)
+
+    @classmethod
+    def strong_lucas(cls) -> "Stage":
+        return cls(STRONG_LUCAS)
 
     @classmethod
     def reciprocity(cls, form: Form, prime: int) -> "Stage":

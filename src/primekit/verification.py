@@ -1,9 +1,12 @@
-"""Ground-truth oracles and systematic cross-checking.
+"""Ground truth and systematic cross-checking.
 
-Ground truth comes from a sieve (desk-scale ranges) or from the fixed
-twelve-base reference oracle (random 64-bit samples); the tests under study
-are never their own referee. Mismatches are emitted as JSON lines with
-fields {"n", "algo", "expected", "actual", "stage"}, n as a decimal string.
+Ground truth comes from a sieve (the exhaustive sweep) or from the
+Baillie-PSW test ``bpsw`` (the random and search sweeps), which runs none
+of the strong-round code of the tests it referees; the twelve-base oracle
+is one of the algorithms checked. No algorithm is its own referee: the
+random and search sweeps refuse ``bpsw``. Mismatches are emitted as JSON
+lines with fields {"n", "algo", "expected", "actual", "stage"}, n as a
+decimal string.
 """
 
 import json
@@ -91,10 +94,25 @@ def _algo_callable(algo: str, cap: int | None):
     return kernel.bind_cap(algo, fn, cap)
 
 
+# the ground truth of the sweeps that have no sieve
+REFEREE = "bpsw"
+
+
 def _check_sweep(algo: str, cap: int | None, jobs: int) -> None:
     _algo_callable(algo, cap)
     if jobs < 1:
         raise ValueError(f"need at least one job, not {jobs}")
+
+
+def _check_refereed_sweep(algo: str, cap: int | None, jobs: int) -> None:
+    # checked against itself, the referee would report no mismatch and
+    # prove nothing
+    _check_sweep(algo, cap, jobs)
+    if algo == REFEREE:
+        raise ValueError(
+            f"{algo!r} is the referee of the random and search sweeps; "
+            "check it with an exhaustive sweep against the sieve instead"
+        )
 
 
 _last_sieve: tuple[int, bytearray] | None = None  # (limit, flags)
@@ -113,9 +131,9 @@ def _sieve_flags(limit: int) -> bytearray:
 
 def _ground_truth(limit: int | None):
     """n -> 1/True when n is prime: the sieve of ``limit`` when one is given,
-    else the reference oracle."""
+    else the referee."""
     if limit is None:
-        return kernel.oracle_is_prime
+        return kernel.ALGORITHMS[REFEREE]
     return _sieve_flags(limit).__getitem__
 
 
@@ -173,7 +191,7 @@ def exhaustive_verify(
     return _records(algo, cap, bad, limit)
 
 
-# --- random sampling against the reference oracle --------------------------
+# --- random sampling against the referee ------------------------------------
 
 
 def random_odd_u64(rng: random.Random) -> int:
@@ -184,10 +202,10 @@ def random_odd_u64(rng: random.Random) -> int:
 def random_verify(
     algo: str, count: int, seed: int, jobs: int = 1, cap: int | None = None
 ) -> list[MismatchRecord]:
-    """Compare ``algo`` with the reference oracle on ``count`` seeded random
+    """Compare ``algo`` with the referee ``bpsw`` on ``count`` seeded random
     odd 64-bit integers. The draw sequence depends only on the seed (Python's
     Mersenne Twister via random.Random), so runs are reproducible."""
-    _check_sweep(algo, cap, jobs)
+    _check_refereed_sweep(algo, cap, jobs)
     rng = random.Random(seed)
     draws = [random_odd_u64(rng) for _ in range(count)]
     step = -(-len(draws) // jobs) or 1
@@ -285,7 +303,7 @@ def search_counterexamples(
     cap: int | None = None,
     stop_after_shards: int | None = None,
 ) -> SearchReport:
-    """Compare ``algo`` against the reference oracle on every odd n in
+    """Compare ``algo`` against the referee ``bpsw`` on every odd n in
     [start, end], in ``shard_count`` shards.
 
     With a checkpoint path, each completed shard is appended as a JSON line
@@ -295,7 +313,7 @@ def search_counterexamples(
     how many pending shards this call runs (used to exercise
     interruption/resume).
     """
-    _check_sweep(algo, cap, jobs)
+    _check_refereed_sweep(algo, cap, jobs)
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
     if not 0 <= start <= end <= U64_MAX:
@@ -346,6 +364,7 @@ def _expect(mr7=False, first=False):
     # report prime on their weak algorithm
     return {
         "oracle": False,
+        "bpsw": False,
         "ge": False,
         "mrge": False,
         "first": first,

@@ -123,7 +123,7 @@ def test_criterion_4_random_sample_agreement():
     _report(
         4,
         mm_ge == [] and mm_mrge == [],
-        f"10^6 seeded random odd 64-bit draws agree with the oracle "
+        f"10^6 seeded random odd 64-bit draws agree with the bpsw referee "
         f"({len(mm_ge)} + {len(mm_mrge)} mismatches)",
     )
 

@@ -23,9 +23,9 @@ PUBLIC_NAMES = {
     "BACKEND", "Decomposition", "FORM_4K1", "FORM_4K3", "FORM_8K1", "FORM_8K3",
     "FORM_8K5", "FORM_8K7", "Form", "RECIPE_256", "RECIPE_2048", "Recipe",
     "SearchCapExceeded", "SearchResult", "Stage", "TraceStep", "Verdict",
-    "decompose", "gauss_euler", "is_small_prime", "isqrt", "legendre", "mr_ge",
-    "mr_ge_first_attempt", "mr_with_schedule", "mulmod", "powmod", "recipe256",
-    "recipe2048", "reference_oracle64", "seven_base_variant",
+    "bpsw", "decompose", "gauss_euler", "is_small_prime", "isqrt", "legendre",
+    "mr_ge", "mr_ge_first_attempt", "mr_with_schedule", "mulmod", "powmod",
+    "recipe256", "recipe2048", "reference_oracle64", "seven_base_variant",
     "smallest_nonresidue_prime", "sprp_round",
 }
 
@@ -121,7 +121,7 @@ def test_cli_test_prime(capsys):
 
 
 def test_cli_test_all_algos(capsys):
-    for algo in ("ge", "mrge", "mr7", "first", "oracle"):
+    for algo in ("ge", "mrge", "mr7", "first", "oracle", "bpsw"):
         assert main(["test", "97", "--algo", algo]) == 0
         assert capsys.readouterr().out.strip() == "prime"
 
@@ -171,6 +171,14 @@ def test_cli_verify_limit_clean(capsys):
 def test_cli_verify_random_clean(capsys):
     assert main(["verify", "--algo", "mrge", "--random", "2000", "--seed", "42"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_cli_refuses_the_referee_in_the_refereed_sweeps(capsys):
+    for argv in (["verify", "--algo", "bpsw", "--random", "10"],
+                 ["search", "--algo", "bpsw", "--from", "3", "--to", "99"]):
+        assert main(argv) == 2
+        assert "'bpsw' is the referee" in capsys.readouterr().err
+    assert main(["verify", "--algo", "bpsw", "--limit", "1000"]) == 0
 
 
 def test_cli_search_reports_mismatch(capsys):

@@ -29,7 +29,7 @@ from primekit.detprime64 import (
     mr_ge_first_attempt,
 )
 from primekit.modarith import U64_MAX
-from primekit.sprp import reference_oracle64, seven_base_variant
+from primekit.sprp import bpsw, reference_oracle64, seven_base_variant
 
 REPO = Path(__file__).resolve().parents[1]
 CC = (sysconfig.get_config_var("CC") or "cc").split()[0]
@@ -46,6 +46,7 @@ RICH = {
     "first_attempt_is_prime": mr_ge_first_attempt,
     "mr7_is_prime": seven_base_variant,
     "oracle_is_prime": reference_oracle64,
+    "bpsw_is_prime": bpsw,
 }
 
 CORPUS_NS = (
@@ -271,6 +272,7 @@ def test_kernel_rejects_non_integers(impl):
         lambda: impl.first_attempt_is_prime(101.0),
         lambda: impl.mr7_is_prime(5.0),
         lambda: impl.oracle_is_prime(97.0),
+        lambda: impl.bpsw_is_prime(97.0),
         lambda: impl.isqrt64(4.0),
         lambda: impl.mulmod(2.5, 3.7, 5.9),
         lambda: impl.powmod(2, 3.0, 5),
@@ -329,7 +331,7 @@ def _select_backend(src: Path, backend: str) -> subprocess.CompletedProcess:
 
 @needs_build_tools
 def test_backend_selection_env(kernel_build, tmp_path):
-    assert set(kernel.ALGORITHMS) == {"ge", "mrge", "first", "mr7", "oracle"}
+    assert set(kernel.ALGORITHMS) == {"ge", "mrge", "first", "mr7", "oracle", "bpsw"}
     for backend, expected in (("py", "python"), ("python", "python"), ("c", "c"),
                               ("auto", "c")):
         proc = _select_backend(kernel_build, backend)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from primekit.residues import (
     Form,
     is_small_prime,
     legendre,
+    prime_flags,
     smallest_nonresidue_prime,
 )
 
@@ -46,6 +48,33 @@ def test_is_small_prime_matches_trial_division_across_the_table_edge():
     # the sieve table answers below 8,192, trial division above it
     for p in range(-5, 20001):
         assert is_small_prime(p) == _trial_division_prime(p), p
+
+
+def _reference_flags(limit):
+    # the sieve that struck every multiple of every prime, even ones included
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = bytes(min(2, limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
+
+
+def test_prime_flags_match_the_sieve_of_every_multiple(sieve_bytes):
+    for limit in range(2001):
+        assert prime_flags(limit) == _reference_flags(limit), limit
+    assert sieve_bytes(10**7).count(1) == 664579
+
+
+def test_prime_flags_peak_stays_near_the_table():
+    limit = 3 * 10**6
+    tracemalloc.start()
+    try:
+        prime_flags(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * limit
 
 
 def test_form_rendering_and_candidates():

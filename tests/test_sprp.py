@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primekit.modarith import U64_MAX
 from primekit.residues import is_small_prime
 from primekit.sprp import (
     ORACLE_BASES,
@@ -12,6 +13,7 @@ from primekit.sprp import (
     Literal,
     SqrtDerived,
     base2_refuted_by_small_factor,
+    bpsw,
     decompose,
     mr_with_schedule,
     reference_oracle64,
@@ -21,7 +23,14 @@ from primekit.sprp import (
     sprp_round,
     strong_rounds,
 )
-from primekit.verdicts import MR_ROUND, SMALL_PRIME_SCREEN, Stage, TraceStep, Verdict
+from primekit.verdicts import (
+    MR_ROUND,
+    SMALL_PRIME_SCREEN,
+    STRONG_LUCAS,
+    Stage,
+    TraceStep,
+    Verdict,
+)
 
 
 def test_decompose_examples():
@@ -292,3 +301,46 @@ def test_u64_range_enforced():
         seven_base_variant(2**64)
     with pytest.raises(OverflowError):
         reference_oracle64(2**64)
+    with pytest.raises(OverflowError):
+        bpsw(2**64)
+    with pytest.raises(TypeError):
+        bpsw(97.0)
+
+
+def test_bpsw_matches_sieve(sieve_bytes):
+    bm = sieve_bytes(10**5)
+    for n in range(10**5):
+        assert bpsw(n).is_prime == (bm[n] == 1), n
+
+
+def test_bpsw_lucas_rejects_base2_strong_pseudoprimes():
+    for n in (8321, 42799, 49141, 65281, 80581):
+        assert all(n % p for p in ORACLE_BASES), n
+        assert sprp_round(n, 2), n
+        trace = []
+        v = bpsw(n, trace=trace)
+        assert not v.is_prime and v.stage.kind == STRONG_LUCAS, (n, v)
+        assert [step.passed for step in trace] == [True, False], n
+
+
+def test_bpsw_base2_round_rejects_strong_lucas_pseudoprimes():
+    # OEIS A217255: they pass the strong Lucas test alone
+    for n in (5459, 5777, 10877, 16109, 18971):
+        v = bpsw(n)
+        assert v == Verdict(False, Stage.mr_round(2), 2), (n, v)
+
+
+def test_bpsw_rejects_squares_before_the_d_search():
+    # 1093 and 3511 are Wieferich primes, so their squares pass base 2
+    for m in (1093, 3511, 2**32 - 5, 2**32 - 1):
+        v = bpsw(m * m)
+        assert not v.is_prime and v.stage.kind != STRONG_LUCAS, m
+    assert bpsw(1093**2) == Verdict(False, Stage.divisor_found(1093), 1093)
+    assert bpsw(3511**2) == Verdict(False, Stage.divisor_found(3511), 3511)
+
+
+def test_bpsw_at_the_top_of_the_range():
+    assert bpsw(U64_MAX) == Verdict(False, Stage.divisor_found(3), 3)
+    v = bpsw(2**64 - 59)  # the largest 64-bit prime
+    assert v.is_prime and v.stage.kind == STRONG_LUCAS
+    assert bpsw(2**64 - 59) is v  # a module constant: no verdict per call

@@ -347,8 +347,20 @@ def test_random_base_sprp():
 
 def test_oracle_kernel_matches_sieve_to_1e7(sieve_bytes):
     bm = sieve_bytes(10**7)
-    oracle = kernel.oracle_is_prime
-    assert oracle(2)
-    for n in range(3, 10**7, 2):
-        if oracle(n) != (bm[n] == 1):
-            raise AssertionError(f"oracle disagrees with sieve at {n}")
+    for name in ("oracle", "bpsw"):
+        fn = kernel.ALGORITHMS[name]
+        assert fn(2)
+        for n in range(3, 10**7, 2):
+            if fn(n) != (bm[n] == 1):
+                raise AssertionError(f"{name} disagrees with sieve at {n}")
+
+
+def test_the_referee_is_bpsw_and_never_referees_itself():
+    assert verification._ground_truth(None) is kernel.ALGORITHMS["bpsw"]
+    with pytest.raises(ValueError, match="'bpsw' is the referee"):
+        random_verify("bpsw", 10, seed=1)
+    with pytest.raises(ValueError, match="'bpsw' is the referee"):
+        search_counterexamples("bpsw", 3, 99, 1)
+    # the sieve referees bpsw itself, and the oracle is one of the refereed
+    assert exhaustive_verify("bpsw", 10**5) == []
+    assert random_verify("oracle", 5000, seed=13) == []
