@@ -72,7 +72,8 @@ class Verdict:
 
     Composite verdicts carry the first failing stage; prime verdicts carry
     the final stage passed. ``witness`` is the failing base, the divisor
-    found, or the reciprocity prime, when one exists. For the probabilistic
+    found, the reciprocity prime, or the D of a failed strong Lucas test,
+    when one exists. For the probabilistic
     schedules (seven-base variant, wide recipes) ``is_prime`` means
     "probable prime under the schedule".
     """
