@@ -8,6 +8,7 @@ the usual strong-probable-prime condition.
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
 from .modarith import require_u64
@@ -34,6 +35,21 @@ def _prime_product(lo: int, hi: int) -> tuple[int, int]:
 # costs far less than the full-width pow it can save.
 _SMALL_PRIME_PRODUCT, _SMALL_PRIME_LCM = _prime_product(3, 150)
 _MID_PRIME_PRODUCT, _MID_PRIME_LCM = _prime_product(150, 4096)
+
+
+def _carmichael_table() -> dict[int, int]:
+    # lambda(g) = lcm(p - 1 : p | g) for the commonest gcds: each screen prime
+    # and each product of two primes below 150 (1,124 entries). 2^lambda(g) = 1
+    # mod g by Fermat, so an exponent reduced mod lambda(g) gives the residue
+    # of one reduced mod L, with a pow of a few bits instead of 55 or 1158.
+    primes = [p for p in range(3, 4096) if is_small_prime(p)]
+    table = {p: p - 1 for p in primes}
+    low = [p for p in primes if p < 150]
+    table.update((p * q, lcm(p - 1, q - 1)) for p, q in combinations(low, 2))
+    return table
+
+
+_CARMICHAEL = _carmichael_table()
 
 
 @dataclass(frozen=True)
@@ -169,9 +185,12 @@ def base2_refuted_by_small_factor(n: int) -> bool:
     That check is the mod-8 stage of gauss_euler, and a base-2 strong
     round passes only where it holds (Pomerance, Selfridge and Wagstaff
     1980). g = gcd(n, P) is the product of the primes of P that divide n.
-    The order of 2 mod g divides L = lcm(p - 1), so 2^((n-1)/2) is
-    2^(((n-1)/2) mod L) (mod g), and a residue other than (2/n) there rules
-    the congruence out mod n. False proves nothing: the check must run.
+    The order of 2 mod g divides lambda(g) = lcm(p - 1 : p | g), which
+    divides L = lcm(p - 1 : p | P), so 2^((n-1)/2) is 2^(((n-1)/2) mod
+    lambda(g)) (mod g). lambda(g) is read from a table when g is one prime
+    or two primes below 150, and L stands in for it otherwise. A residue
+    other than (2/n) there rules the congruence out mod n. False proves
+    nothing: the check must run.
     """
     g = gcd(n, _SMALL_PRIME_PRODUCT)
     if g > 1 and _euler_jacobi_fails_mod(n, g, _SMALL_PRIME_LCM):
@@ -184,6 +203,7 @@ def base2_refuted_by_small_factor(n: int) -> bool:
 
 def _euler_jacobi_fails_mod(n: int, g: int, order_multiple: int) -> bool:
     sign = 1 if n % 8 in (1, 7) else g - 1
+    order_multiple = _CARMICHAEL.get(g, order_multiple)
     return pow(2, ((n - 1) >> 1) % order_multiple, g) != sign
 
 
@@ -277,10 +297,16 @@ def bpsw(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     Q = (1 - D)/4 and Selfridge's D, the first of 5, -7, 9, -11, ... with
     (D/n) = -1 (Baillie & Wagstaff 1980). It is reported exact below 2^64.
 
-    It runs none of the strong-round code of the tests it referees. A
-    square fails at ``divisor-found(isqrt(n))`` before the D search, which
-    would never end on it; a composite that passes base 2 fails at
-    ``strong-lucas`` with D as the witness.
+    It runs none of the strong-round code of the tests it referees. It
+    shares one piece with them, the small-factor screen
+    ``base2_refuted_by_small_factor``, which settles its base-2 round
+    without the pow when a prime 41 <= p < 150 divides n. Its prime or
+    composite answers cannot depend on that screen: the screen refutes only
+    an n with such a factor, and n >= 41^2 with a factor below 150 is
+    composite, so a fault in the screen could change a stage, never a
+    verdict. A square fails at ``divisor-found(isqrt(n))`` before the D
+    search, which would never end on it; a composite that passes base 2
+    fails at ``strong-lucas`` with D as the witness.
     """
     n = require_u64(n)
     v = _trial_division(n)
@@ -288,7 +314,7 @@ def bpsw(n: int, trace: list[TraceStep] | None = None) -> Verdict:
         return v
     if n < 1681:
         return _NO_SMALL_FACTOR
-    ok = _base2_strong(n)
+    ok = not base2_refuted_by_small_factor(n) and _base2_strong(n)
     if trace is not None:
         trace.append(TraceStep(_BASE2_FAILURE.stage, None, ok))
     if not ok:

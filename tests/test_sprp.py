@@ -1,5 +1,6 @@
 import random
-from math import prod
+from itertools import combinations
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from primekit.modarith import U64_MAX
 from primekit.residues import is_small_prime
+from primekit import sprp
 from primekit.sprp import (
     ORACLE_BASES,
     SEVEN_BASE_SCHEDULE,
@@ -112,6 +114,54 @@ def test_small_factor_refutation_is_exact_on_wide_draws(bits, data):
     assert refuted == _refuted_by_definition(n), n
     if refuted:
         assert not _euler_jacobi_holds(n), n
+
+
+def test_carmichael_table_is_exact():
+    # lambda(g) for each screen prime and each product of two primes below
+    # 150; any other gcd falls back to its product's L
+    table = sprp._CARMICHAEL
+    low = SMALL_ODD_PRIMES
+    expected = {p: p - 1 for p in low + MID_PRIMES}
+    expected.update((p * q, lcm(p - 1, q - 1)) for p, q in combinations(low, 2))
+    assert table == expected
+    assert len(table) == 1124
+    for g, lam in table.items():
+        assert pow(2, lam, g) == 1, g
+        if sprp._SMALL_PRIME_PRODUCT % g == 0:
+            assert sprp._SMALL_PRIME_LCM % lam == 0, g
+        else:
+            assert sprp._MID_PRIME_PRODUCT % g == 0, g
+            assert sprp._MID_PRIME_LCM % lam == 0, g
+
+
+# Euler-Jacobi pseudoprimes to base 2 made of three or more primes below 150,
+# and of two primes from 150..4095: gcds the table leaves to L
+EULER_JACOBI_SMALL = (561, 1105, 1729, 1905, 2465, 6601, 41041)
+EULER_JACOBI_MID = (151 * 601, 157 * 313, 229 * 457, 257 * 641)
+
+
+@pytest.mark.parametrize("bits", (64, 256))
+def test_small_factor_refutation_is_exact_outside_the_table(bits):
+    # n = k(1 + 4 lambda(k) j) meets the congruence mod k exactly when k
+    # does: k = 3*5*7*q mostly fails it, the pseudoprimes above meet it
+    ks = [(105 * q, "small") for q in SMALL_ODD_PRIMES[3:]]
+    ks += [(k, "small") for k in EULER_JACOBI_SMALL]
+    if bits > 64:
+        ks += [(k, "mid") for k in EULER_JACOBI_MID]
+    rng = random.Random(bits)
+    outcomes = {"small": set(), "mid": set()}
+    for _ in range(3000):
+        k, product = rng.choice(ks)
+        m = 4 * lcm(*(p - 1 for p in SMALL_ODD_PRIMES + MID_PRIMES if k % p == 0))
+        n = k * (1 + m * rng.getrandbits(bits - k.bit_length() - m.bit_length()))
+        g = gcd(n, sprp._SMALL_PRIME_PRODUCT if product == "small"
+                else sprp._MID_PRIME_PRODUCT)
+        assert g % k == 0 and g not in sprp._CARMICHAEL, n
+        refuted = base2_refuted_by_small_factor(n)
+        assert refuted == _refuted_by_definition(n), n
+        outcomes[product].add(refuted)
+    assert outcomes["small"] == {False, True}
+    assert outcomes["mid"] == ({False, True} if bits > 64 else set())
 
 
 def _base2_fermat_pseudoprimes(limit, sieve):
@@ -317,6 +367,36 @@ def test_bpsw_lucas_rejects_base2_strong_pseudoprimes():
     for n in (8321, 42799, 49141, 65281, 80581):
         assert all(n % p for p in ORACLE_BASES), n
         assert sprp_round(n, 2), n
+        trace = []
+        v = bpsw(n, trace=trace)
+        assert not v.is_prime and v.stage.kind == STRONG_LUCAS, (n, v)
+        assert [step.passed for step in trace] == [True, False], n
+
+
+def _smallest_factor(n):
+    return next(p for p in range(3, n + 1, 2) if n % p == 0)
+
+
+def test_bpsw_small_factor_screen_only_refutes_what_base2_fails():
+    # past trial division to 37, the screen settles bpsw's base-2 round from
+    # the primes 41..149; each n it settles fails that round
+    refuted = 0
+    for n in range(1681, 2 * 10**5 + 1, 2):
+        if all(n % p for p in ORACLE_BASES) and base2_refuted_by_small_factor(n):
+            assert not sprp._base2_strong(n), n
+            assert bpsw(n) == Verdict(False, Stage.mr_round(2), 2), n
+            refuted += 1
+    assert refuted == 7790
+
+
+def test_bpsw_screen_passes_strong_pseudoprimes_to_the_lucas_test(sieve_bytes):
+    # a factor below 150 is no shortcut to a verdict: a base-2 strong
+    # pseudoprime with one still reaches the Lucas test
+    bm = sieve_bytes(10**6)
+    spsp = [n for n in _base2_fermat_pseudoprimes(10**6, bm) if sprp_round(n, 2)]
+    with_factor = [n for n in spsp if 41 <= _smallest_factor(n) < 150]
+    assert len(with_factor) == 13 and with_factor[0] == 8321  # 53 * 157
+    for n in with_factor:
         trace = []
         v = bpsw(n, trace=trace)
         assert not v.is_prime and v.stage.kind == STRONG_LUCAS, (n, v)
