@@ -39,9 +39,8 @@ _MID_PRIME_PRODUCT, _MID_PRIME_LCM = _prime_product(150, 4096)
 
 def _carmichael_table() -> dict[int, int]:
     # lambda(g) = lcm(p - 1 : p | g) for the commonest gcds: each screen prime
-    # and each product of two primes below 150 (1,124 entries). 2^lambda(g) = 1
-    # mod g by Fermat, so an exponent reduced mod lambda(g) gives the residue
-    # of one reduced mod L, with a pow of a few bits instead of 55 or 1158.
+    # and each product of two primes below 150 (1,124 entries). Reduced mod
+    # lambda(g), the exponent has at most 14 bits, against 55 or 1158 mod L.
     primes = [p for p in range(3, 4096) if is_small_prime(p)]
     table = {p: p - 1 for p in primes}
     low = [p for p in primes if p < 150]
@@ -303,8 +302,8 @@ def bpsw(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     without the pow when a prime 41 <= p < 150 divides n. Its prime or
     composite answers cannot depend on that screen: the screen refutes only
     an n with such a factor, and n >= 41^2 with a factor below 150 is
-    composite, so a fault in the screen could change a stage, never a
-    verdict. A square fails at ``divisor-found(isqrt(n))`` before the D
+    composite, so a fault in the screen could change the stage that rejects
+    n, never whether n is called prime. A square fails at ``divisor-found(isqrt(n))`` before the D
     search, which would never end on it; a composite that passes base 2
     fails at ``strong-lucas`` with D as the witness.
     """

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primekit import sprp
 from primekit.modarith import U64_MAX
 from primekit.residues import is_small_prime
-from primekit import sprp
 from primekit.sprp import (
     ORACLE_BASES,
     SEVEN_BASE_SCHEDULE,
