@@ -21,7 +21,7 @@ a proven fact.
 from math import isqrt
 from operator import index
 
-from .modarith import require_u64
+from .modarith import powmod, require_u64
 from .residues import (
     DEFAULT_SEARCH_CAP,
     DIVISOR,
@@ -67,7 +67,7 @@ def gauss_euler(
     # a traced run records the mod-8 residue, so it always computes it
     if trace is None and base2_refuted_by_small_factor(n):
         return _MOD8_FAILURE
-    r = pow(2, e, n)
+    r = powmod(2, e, n)
     # (2/n) = +1 iff n = 8k+1 or 8k+7
     ok = r == (1 if (n & 7) in (1, 7) else n - 1)
     if trace is not None:
@@ -79,7 +79,7 @@ def gauss_euler(
     h = isqrt(n >> 1)
     n1 = n - 1
     for a in (m, m + 1, h, h + 1):
-        r = pow(a, e, n)
+        r = powmod(a, e, n)
         ok = r == 1 or r == n1
         if trace is not None:
             trace.append(TraceStep(Stage.sqrt_base(a), r, ok))
@@ -155,7 +155,7 @@ def reciprocity_checks(
     for form in forms:
         status, p, _ = _search(n, form, True, cap)
         if status == FOUND:
-            r = pow(p, e, n)
+            r = powmod(p, e, n)
             # by reciprocity, (p/n) = +1 only when p and n are both 4k+3
             ok = r == (1 if p & 3 == 3 and n & 3 == 3 else n - 1)
             # keyed on the form's fields: a Form's generated __hash__ runs in Python

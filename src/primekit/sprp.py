@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
-from .modarith import require_u64
+from .modarith import powmod, require_u64
 from .residues import is_small_prime
 from .verdicts import Stage, TraceStep, Verdict
 
@@ -72,7 +72,7 @@ def sprp_round(n: int, a: int, d: Decomposition | None = None) -> bool:
     """One strong-probable-prime round to base a, 1 <= a < n, odd n >= 3."""
     if d is None:
         d = decompose(n)
-    b = pow(a, d.t, n)
+    b = powmod(a, d.t, n)
     for _ in range(d.s):
         k = b * b % n
         if k == 1 and b != 1 and b != n - 1:
@@ -188,11 +188,18 @@ def base2_refuted_by_small_factor(n: int) -> bool:
     divides L = lcm(p - 1 : p | P), so 2^((n-1)/2) is 2^(((n-1)/2) mod
     lambda(g)) (mod g). lambda(g) is read from a table when g is one prime
     or two primes below 150, and L stands in for it otherwise. A residue
-    other than (2/n) there rules the congruence out mod n. False proves
+    other than (2/n) there rules the congruence out mod n.
+
+    A square factor p^2 of n with p < 150, seen as gcd(n // g, g) > 1,
+    settles it too. No such p is a Wieferich prime, so the order of 2 mod
+    p^2 is p times its order mod p, and p cannot divide n - 1: even the
+    Fermat check 2^(n-1) = 1 fails mod p^2. The rule stays off the second
+    product, which holds the Wieferich primes 1093 and 3511. False proves
     nothing: the check must run.
     """
     g = gcd(n, _SMALL_PRIME_PRODUCT)
-    if g > 1 and _euler_jacobi_fails_mod(n, g, _SMALL_PRIME_LCM):
+    if g > 1 and (_euler_jacobi_fails_mod(n, g, _SMALL_PRIME_LCM)
+                  or gcd(n // g, g) > 1):
         return True
     if n >> 64:
         g = gcd(n, _MID_PRIME_PRODUCT)
@@ -227,7 +234,7 @@ def strong_rounds(
                 s = (n1 & -n1).bit_length() - 1
                 t = n1 >> s
             # the sprp_round chain, stopped once it reaches n - 1 or 1
-            b = pow(base, t, n)
+            b = powmod(base, t, n)
             ok = b == 1 or b == n1
             if not ok:
                 for _ in range(s - 1):
@@ -297,13 +304,14 @@ def bpsw(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     (D/n) = -1 (Baillie & Wagstaff 1980). It is reported exact below 2^64.
 
     It runs none of the strong-round code of the tests it referees. It
-    shares one piece with them, the small-factor screen
+    shares two pieces with them. One is the small-factor screen
     ``base2_refuted_by_small_factor``, which settles its base-2 round
     without the pow when a prime 41 <= p < 150 divides n. Its prime or
     composite answers cannot depend on that screen: the screen refutes only
     an n with such a factor, and n >= 41^2 with a factor below 150 is
     composite, so a fault in the screen could change the stage that rejects
-    n, never whether n is called prime. A square fails at ``divisor-found(isqrt(n))`` before the D
+    n, never whether n is called prime. The other is ``powmod``, the pow of
+    its base-2 round; the Lucas ladder does its own arithmetic. A square fails at ``divisor-found(isqrt(n))`` before the D
     search, which would never end on it; a composite that passes base 2
     fails at ``strong-lucas`` with D as the witness.
     """
@@ -350,7 +358,7 @@ def _base2_strong(n: int) -> bool:
     # the base-2 strong round of odd n >= 3, apart from strong_rounds
     n1 = n - 1
     s = (n1 & -n1).bit_length() - 1
-    b = pow(2, n1 >> s, n)
+    b = powmod(2, n1 >> s, n)
     if b == 1 or b == n1:
         return True
     for _ in range(s - 1):

@@ -79,8 +79,9 @@ def test_small_factor_refutation_is_exact_to_1e6():
             assert not _euler_jacobi_holds(n), n
             assert not sprp_round(n, 2), n
             flagged += 1
-    # the primes 3 <= p < 150 settle 65.5% of these odd n
-    assert flagged == 327733
+    # the primes 3 <= p < 150 settle 68.8% of these odd n: 65.5% by the
+    # Euler-Jacobi residue mod g, the rest by a square factor
+    assert flagged == 343888
 
 
 SMALL_ODD_PRIMES = tuple(p for p in range(3, 150) if is_small_prime(p))
@@ -90,11 +91,44 @@ MID_PRIMES = tuple(p for p in range(150, 4096) if is_small_prime(p))
 def _refuted_by_definition(n):
     # the Euler-Jacobi congruence, unreduced, mod g: the product of the
     # primes 3 <= p < 150 dividing n, and from n >= 2^64 on of the primes
-    # 150 <= p < 4096 dividing n as well
+    # 150 <= p < 4096 dividing n as well; or p^2 dividing n for one of the
+    # primes below 150
     primes = SMALL_ODD_PRIMES + (MID_PRIMES if n >= 2**64 else ())
     g = prod(p for p in primes if n % p == 0)
     sign = 1 if n % 8 in (1, 7) else g - 1
-    return g > 1 and pow(2, (n - 1) // 2, g) != sign
+    squared = any(n % (p * p) == 0 for p in SMALL_ODD_PRIMES)
+    return squared or (g > 1 and pow(2, (n - 1) // 2, g) != sign)
+
+
+def test_a_square_factor_below_150_fails_base_2():
+    # no prime below 150 is a Wieferich prime, so p^2 | n rules out
+    # 2^(n-1) = 1 mod p^2; 1093 and 3511 of the second product are
+    wieferich = [p for p in SMALL_ODD_PRIMES + MID_PRIMES if pow(2, p - 1, p * p) == 1]
+    assert wieferich == [1093, 3511]
+    rng = random.Random(2)
+    for p in SMALL_ODD_PRIMES:
+        for _ in range(20):
+            n = p * p * (2 * rng.getrandbits(60) + 1)
+            assert base2_refuted_by_small_factor(n), n
+            assert pow(2, n - 1, n) != 1, n
+
+
+@pytest.mark.parametrize("p", (1093, 3511))
+def test_the_square_rule_stays_off_the_wieferich_primes(p):
+    # their squares pass base 2, and so does n = p^2 * c mod p^2 when
+    # n = 1 mod 8(p - 1): the screen must leave such n to the residue mod g
+    assert sprp_round(p * p, 2) and not base2_refuted_by_small_factor(p * p)
+    m = 8 * (p - 1)
+    c0 = pow(p * p, -1, m)
+    rng = random.Random(p)
+    outcomes = set()
+    for _ in range(200):
+        n = p * p * (c0 + m * rng.getrandbits(100))
+        assert n % m == 1 and n >= 2**64
+        refuted = base2_refuted_by_small_factor(n)
+        assert refuted == _refuted_by_definition(n), n
+        outcomes.add(refuted)
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("bits", (64, 256, 2048))
@@ -386,7 +420,8 @@ def test_bpsw_small_factor_screen_only_refutes_what_base2_fails():
             assert not sprp._base2_strong(n), n
             assert bpsw(n) == Verdict(False, Stage.mr_round(2), 2), n
             refuted += 1
-    assert refuted == 7790
+    # 7,790 by the residue mod g, 28 more by a square factor 41^2..149^2
+    assert refuted == 7818
 
 
 def test_bpsw_screen_passes_strong_pseudoprimes_to_the_lucas_test(sieve_bytes):
