@@ -30,21 +30,28 @@ def _prime_product(lo: int, hi: int) -> tuple[int, int]:
     return prod(primes), lcm(*(p - 1 for p in primes))
 
 
-# The odd primes below 150 are tried on every n (189 bits, lcm 55 bits); those
-# from 150 to 4096 only above 2^64 (5.6 kbits, lcm 1158 bits), where their gcd
-# costs far less than the full-width pow it can save.
+# The odd primes below 150 are tried on every n (189 bits, lcm 55 bits), those
+# from 150 to 1024 from 2^30 on (1.2 kbits, lcm 349 bits), and those from 1024
+# to 4096 only above 2^64 (4.4 kbits, lcm 1133 bits): each from where its gcd
+# costs less than the pows it saves.
 _SMALL_PRIME_PRODUCT, _SMALL_PRIME_LCM = _prime_product(3, 150)
-_MID_PRIME_PRODUCT, _MID_PRIME_LCM = _prime_product(150, 4096)
+_MID_PRIME_PRODUCT, _MID_PRIME_LCM = _prime_product(150, 1024)
+_HIGH_PRIME_PRODUCT, _HIGH_PRIME_LCM = _prime_product(1024, 4096)
+# below 2^30, n is one CPython digit, and a pow mod n is too cheap for the
+# second gcd to pay for itself
+_MID_PRIMES_FROM = 2**30
 
 
 def _carmichael_table() -> dict[int, int]:
     # lambda(g) = lcm(p - 1 : p | g) for the commonest gcds: each screen prime
-    # and each product of two primes below 150 (1,124 entries). Reduced mod
-    # lambda(g), the exponent has at most 14 bits, against 55 or 1158 mod L.
+    # and each product of two or three primes below 150 (7,108 entries).
+    # Reduced mod lambda(g), the exponent has at most 20 bits, against 55, 349
+    # or 1133 mod L.
     primes = [p for p in range(3, 4096) if is_small_prime(p)]
     table = {p: p - 1 for p in primes}
     low = [p for p in primes if p < 150]
-    table.update((p * q, lcm(p - 1, q - 1)) for p, q in combinations(low, 2))
+    for k in (2, 3):
+        table.update((prod(c), lcm(*(p - 1 for p in c))) for c in combinations(low, k))
     return table
 
 
@@ -177,9 +184,10 @@ def _usable_bases(n: int, schedule: Iterable[BaseSpec]) -> Iterator[int]:
 
 
 def base2_refuted_by_small_factor(n: int) -> bool:
-    """True when the odd primes p < 150 dividing odd n >= 3 (and above 2^64
-    the primes 150 <= p < 4096) prove that n fails the base-2 Euler-Jacobi
-    check 2^((n-1)/2) = (2/n) (mod n), so every base-2 check must fail on n.
+    """True when the odd primes p < 150 dividing odd n >= 3 (from 2^30 on
+    also the primes 150 <= p < 1024, and above 2^64 those up to 4096)
+    prove that n fails the base-2 Euler-Jacobi check 2^((n-1)/2) = (2/n)
+    (mod n), so every base-2 check must fail on n.
 
     That check is the mod-8 stage of gauss_euler, and a base-2 strong
     round passes only where it holds (Pomerance, Selfridge and Wagstaff
@@ -187,23 +195,30 @@ def base2_refuted_by_small_factor(n: int) -> bool:
     The order of 2 mod g divides lambda(g) = lcm(p - 1 : p | g), which
     divides L = lcm(p - 1 : p | P), so 2^((n-1)/2) is 2^(((n-1)/2) mod
     lambda(g)) (mod g). lambda(g) is read from a table when g is one prime
-    or two primes below 150, and L stands in for it otherwise. A residue
-    other than (2/n) there rules the congruence out mod n.
+    or two or three primes below 150, and L stands in for it otherwise. A
+    residue other than (2/n) there rules the congruence out mod n. The
+    congruence holds mod n only if it holds mod each prime of n, so each
+    product can be tried on its own.
 
     A square factor p^2 of n with p < 150, seen as gcd(n // g, g) > 1,
     settles it too. No such p is a Wieferich prime, so the order of 2 mod
     p^2 is p times its order mod p, and p cannot divide n - 1: even the
-    Fermat check 2^(n-1) = 1 fails mod p^2. The rule stays off the second
-    product, which holds the Wieferich primes 1093 and 3511. False proves
-    nothing: the check must run.
+    Fermat check 2^(n-1) = 1 fails mod p^2. The rule stays off the other
+    products; the last holds the Wieferich primes 1093 and 3511. False
+    proves nothing: the check must run.
     """
     g = gcd(n, _SMALL_PRIME_PRODUCT)
     if g > 1 and (_euler_jacobi_fails_mod(n, g, _SMALL_PRIME_LCM)
                   or gcd(n // g, g) > 1):
         return True
+    if n < _MID_PRIMES_FROM:
+        return False
+    g = gcd(n, _MID_PRIME_PRODUCT)
+    if g > 1 and _euler_jacobi_fails_mod(n, g, _MID_PRIME_LCM):
+        return True
     if n >> 64:
-        g = gcd(n, _MID_PRIME_PRODUCT)
-        return g > 1 and _euler_jacobi_fails_mod(n, g, _MID_PRIME_LCM)
+        g = gcd(n, _HIGH_PRIME_PRODUCT)
+        return g > 1 and _euler_jacobi_fails_mod(n, g, _HIGH_PRIME_LCM)
     return False
 
 
@@ -306,14 +321,15 @@ def bpsw(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     It runs none of the strong-round code of the tests it referees. It
     shares two pieces with them. One is the small-factor screen
     ``base2_refuted_by_small_factor``, which settles its base-2 round
-    without the pow when a prime 41 <= p < 150 divides n. Its prime or
+    without the pow when a prime 41 <= p < 1024 divides n. Its prime or
     composite answers cannot depend on that screen: the screen refutes only
-    an n with such a factor, and n >= 41^2 with a factor below 150 is
-    composite, so a fault in the screen could change the stage that rejects
+    an n with such a factor, and n >= 41^2 > 1023 is not that factor, so n
+    is composite; a fault in the screen could change the stage that rejects
     n, never whether n is called prime. The other is ``powmod``, the pow of
-    its base-2 round; the Lucas ladder does its own arithmetic. A square fails at ``divisor-found(isqrt(n))`` before the D
-    search, which would never end on it; a composite that passes base 2
-    fails at ``strong-lucas`` with D as the witness.
+    its base-2 round; the Lucas ladder does its own arithmetic. A square
+    fails at ``divisor-found(isqrt(n))`` before the D search, which would
+    never end on it; a composite that passes base 2 fails at
+    ``strong-lucas`` with D as the witness.
     """
     n = require_u64(n)
     v = _trial_division(n)

@@ -85,25 +85,44 @@ def test_small_factor_refutation_is_exact_to_1e6():
 
 
 SMALL_ODD_PRIMES = tuple(p for p in range(3, 150) if is_small_prime(p))
-MID_PRIMES = tuple(p for p in range(150, 4096) if is_small_prime(p))
+MID_PRIMES = tuple(p for p in range(150, 1024) if is_small_prime(p))
+HIGH_PRIMES = tuple(p for p in range(1024, 4096) if is_small_prime(p))
+SCREEN_PRIMES = SMALL_ODD_PRIMES + MID_PRIMES + HIGH_PRIMES
 
 
 def _refuted_by_definition(n):
     # the Euler-Jacobi congruence, unreduced, mod g: the product of the
-    # primes 3 <= p < 150 dividing n, and from n >= 2^64 on of the primes
-    # 150 <= p < 4096 dividing n as well; or p^2 dividing n for one of the
-    # primes below 150
-    primes = SMALL_ODD_PRIMES + (MID_PRIMES if n >= 2**64 else ())
+    # primes 3 <= p < 150 dividing n, from n >= 2^30 on of the primes
+    # 150 <= p < 1024 as well, and from n >= 2^64 on of the primes
+    # 1024 <= p < 4096 too; or p^2 dividing n for one of the primes below 150
+    primes = (SMALL_ODD_PRIMES + (MID_PRIMES if n >= 2**30 else ())
+              + (HIGH_PRIMES if n >= 2**64 else ()))
     g = prod(p for p in primes if n % p == 0)
     sign = 1 if n % 8 in (1, 7) else g - 1
     squared = any(n % (p * p) == 0 for p in SMALL_ODD_PRIMES)
     return squared or (g > 1 and pow(2, (n - 1) // 2, g) != sign)
 
 
+def test_small_factor_refutation_is_exact_across_2_30():
+    # the primes 150..1023 join the screen at 2^30: on either side of it the
+    # screen is its definition, and True is still a proof
+    flagged = {False: 0, True: 0}
+    for n in range(2**30 - 10**5 + 1, 2**30 + 10**5, 2):
+        refuted = base2_refuted_by_small_factor(n)
+        assert refuted == _refuted_by_definition(n), n
+        if refuted:
+            assert not _euler_jacobi_holds(n), n
+            assert not sprp_round(n, 2), n
+            flagged[n >= 2**30] += 1
+    # 68.6% of the odd n below 2^30, 76.8% above it (68.6% from the primes
+    # below 150 alone)
+    assert flagged == {False: 34315, True: 38413}
+
+
 def test_a_square_factor_below_150_fails_base_2():
     # no prime below 150 is a Wieferich prime, so p^2 | n rules out
-    # 2^(n-1) = 1 mod p^2; 1093 and 3511 of the second product are
-    wieferich = [p for p in SMALL_ODD_PRIMES + MID_PRIMES if pow(2, p - 1, p * p) == 1]
+    # 2^(n-1) = 1 mod p^2; 1093 and 3511 of the third product are
+    wieferich = [p for p in SCREEN_PRIMES if pow(2, p - 1, p * p) == 1]
     assert wieferich == [1093, 3511]
     rng = random.Random(2)
     for p in SMALL_ODD_PRIMES:
@@ -139,39 +158,40 @@ def test_small_factor_refutation_is_exact_on_wide_draws(bits, data):
     if data.draw(st.booleans()):
         # for n = p(1 + 4j(p - 1)), 2^((n-1)/2) = (2/p) = (2/n) mod p, so p
         # alone proves nothing
-        p = data.draw(st.sampled_from(SMALL_ODD_PRIMES + MID_PRIMES))
+        p = data.draw(st.sampled_from(SCREEN_PRIMES))
         m = 4 * (p - 1)
         n = p * (1 + n // p // m * m)
     refuted = base2_refuted_by_small_factor(n)
     # above 2^55 the exponent is reduced mod L, so this checks L and the
-    # 2^64 gate of the second product
+    # 2^64 gate of the third product
     assert refuted == _refuted_by_definition(n), n
     if refuted:
         assert not _euler_jacobi_holds(n), n
 
 
 def test_carmichael_table_is_exact():
-    # lambda(g) for each screen prime and each product of two primes below
-    # 150; any other gcd falls back to its product's L
+    # lambda(g) for each screen prime and each product of two or three primes
+    # below 150; any other gcd falls back to its product's L
     table = sprp._CARMICHAEL
     low = SMALL_ODD_PRIMES
-    expected = {p: p - 1 for p in low + MID_PRIMES}
-    expected.update((p * q, lcm(p - 1, q - 1)) for p, q in combinations(low, 2))
+    expected = {p: p - 1 for p in SCREEN_PRIMES}
+    for k in (2, 3):
+        expected.update((prod(c), lcm(*(p - 1 for p in c))) for c in combinations(low, k))
     assert table == expected
-    assert len(table) == 1124
+    assert len(table) == 563 + 561 + 5984 == 7108
+    products = ((sprp._SMALL_PRIME_PRODUCT, sprp._SMALL_PRIME_LCM),
+                (sprp._MID_PRIME_PRODUCT, sprp._MID_PRIME_LCM),
+                (sprp._HIGH_PRIME_PRODUCT, sprp._HIGH_PRIME_LCM))
     for g, lam in table.items():
         assert pow(2, lam, g) == 1, g
-        if sprp._SMALL_PRIME_PRODUCT % g == 0:
-            assert sprp._SMALL_PRIME_LCM % lam == 0, g
-        else:
-            assert sprp._MID_PRIME_PRODUCT % g == 0, g
-            assert sprp._MID_PRIME_LCM % lam == 0, g
+        assert [L % lam for P, L in products if P % g == 0] == [0], g
 
 
-# Euler-Jacobi pseudoprimes to base 2 made of three or more primes below 150,
-# and of two primes from 150..4095: gcds the table leaves to L
-EULER_JACOBI_SMALL = (561, 1105, 1729, 1905, 2465, 6601, 41041)
+# Euler-Jacobi pseudoprimes to base 2 made of four primes below 150, of two
+# primes from 150..1023 and of two from 1024..4095: gcds the table leaves to L
+EULER_JACOBI_SMALL = (18705, 41041, 62745, 75361, 126217, 129921, 172081)
 EULER_JACOBI_MID = (151 * 601, 157 * 313, 229 * 457, 257 * 641)
+EULER_JACOBI_HIGH = (1061 * 3181, 1069 * 2137, 1103 * 2089, 1153 * 3457)
 
 
 @pytest.mark.parametrize("bits", (64, 256))
@@ -180,22 +200,24 @@ def test_small_factor_refutation_is_exact_outside_the_table(bits):
     # does: k = 3*5*7*q mostly fails it, the pseudoprimes above meet it
     ks = [(105 * q, "small") for q in SMALL_ODD_PRIMES[3:]]
     ks += [(k, "small") for k in EULER_JACOBI_SMALL]
+    ks += [(k, "mid") for k in EULER_JACOBI_MID]
     if bits > 64:
-        ks += [(k, "mid") for k in EULER_JACOBI_MID]
+        ks += [(k, "high") for k in EULER_JACOBI_HIGH]
+    products = {"small": sprp._SMALL_PRIME_PRODUCT, "mid": sprp._MID_PRIME_PRODUCT,
+                "high": sprp._HIGH_PRIME_PRODUCT}
     rng = random.Random(bits)
-    outcomes = {"small": set(), "mid": set()}
+    outcomes = {"small": set(), "mid": set(), "high": set()}
     for _ in range(3000):
         k, product = rng.choice(ks)
-        m = 4 * lcm(*(p - 1 for p in SMALL_ODD_PRIMES + MID_PRIMES if k % p == 0))
+        m = 4 * lcm(*(p - 1 for p in SCREEN_PRIMES if k % p == 0))
         n = k * (1 + m * rng.getrandbits(bits - k.bit_length() - m.bit_length()))
-        g = gcd(n, sprp._SMALL_PRIME_PRODUCT if product == "small"
-                else sprp._MID_PRIME_PRODUCT)
+        g = gcd(n, products[product])
         assert g % k == 0 and g not in sprp._CARMICHAEL, n
         refuted = base2_refuted_by_small_factor(n)
         assert refuted == _refuted_by_definition(n), n
         outcomes[product].add(refuted)
-    assert outcomes["small"] == {False, True}
-    assert outcomes["mid"] == ({False, True} if bits > 64 else set())
+    assert outcomes["small"] == outcomes["mid"] == {False, True}
+    assert outcomes["high"] == ({False, True} if bits > 64 else set())
 
 
 def _base2_fermat_pseudoprimes(limit, sieve):
@@ -413,15 +435,20 @@ def _smallest_factor(n):
 
 def test_bpsw_small_factor_screen_only_refutes_what_base2_fails():
     # past trial division to 37, the screen settles bpsw's base-2 round from
-    # the primes 41..149; each n it settles fails that round
-    refuted = 0
-    for n in range(1681, 2 * 10**5 + 1, 2):
-        if all(n % p for p in ORACLE_BASES) and base2_refuted_by_small_factor(n):
-            assert not sprp._base2_strong(n), n
-            assert bpsw(n) == Verdict(False, Stage.mr_round(2), 2), n
-            refuted += 1
-    # 7,790 by the residue mod g, 28 more by a square factor 41^2..149^2
-    assert refuted == 7818
+    # the primes 41..1023; each n it settles fails that round and has such a
+    # factor, which is not n itself, as n >= 41^2 > 1023
+    refuted = {}
+    for lo, hi in ((1681, 2 * 10**5 + 1), (2**40 + 1, 2**40 + 2 * 10**5)):
+        refuted[lo] = 0
+        for n in range(lo, hi, 2):
+            if all(n % p for p in ORACLE_BASES) and base2_refuted_by_small_factor(n):
+                assert not sprp._base2_strong(n), n
+                assert bpsw(n) == Verdict(False, Stage.mr_round(2), 2), n
+                assert any(n % p == 0 for p in range(41, 1024, 2)), n
+                refuted[lo] += 1
+    # below 2*10^5, from the primes 41..149 alone: 7,790 by the residue mod g,
+    # 28 more by a square factor 41^2..149^2
+    assert refuted == {1681: 7818, 2**40 + 1: 13370}
 
 
 def test_bpsw_screen_passes_strong_pseudoprimes_to_the_lucas_test(sieve_bytes):
