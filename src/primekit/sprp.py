@@ -50,8 +50,10 @@ def _carmichael_table() -> dict[int, int]:
     primes = [p for p in range(3, 4096) if is_small_prime(p)]
     table = {p: p - 1 for p in primes}
     low = [p for p in primes if p < 150]
-    for k in (2, 3):
-        table.update((prod(c), lcm(*(p - 1 for p in c))) for c in combinations(low, k))
+    pairs = {p * q: lcm(p - 1, q - 1) for p, q in combinations(low, 2)}
+    table.update(pairs)
+    for p, q, r in combinations(low, 3):
+        table[p * q * r] = lcm(pairs[p * q], r - 1)
     return table
 
 
