@@ -1,12 +1,9 @@
-import os
-
 from setuptools import Extension, setup
 
 # The compiled kernel is one hand-written C file against the CPython API, so a
 # build needs only a C compiler and the Python headers.
-ext_modules = []
-if os.environ.get("PRIMEKIT_PURE_ONLY") != "1":
-    ext_modules.append(
+setup(
+    ext_modules=[
         Extension(
             "primekit._kernel64",
             ["src/primekit/_kernel64.c"],
@@ -15,6 +12,5 @@ if os.environ.get("PRIMEKIT_PURE_ONLY") != "1":
             # falls back to the pure-Python kernel at import time
             optional=True,
         )
-    )
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -10,8 +10,6 @@ Exit codes: 0 success / no mismatch, 1 mismatch found, 2 usage error,
 """
 
 import argparse
-import functools
-import os
 import statistics
 import sys
 import time
@@ -21,7 +19,6 @@ from dataclasses import dataclass
 
 from . import kernel
 from .bigrecipes import recipe256, recipe2048
-from .residues import DEFAULT_SEARCH_CAP
 from .verification import (
     CheckpointError,
     REFEREE,
@@ -125,7 +122,6 @@ def run_bench(
     algo: str,
     reps: int = 3,
     backend: str = "auto",
-    cap: int | None = None,
 ) -> BenchResult:
     """Median-of-``reps`` timing of one full single-threaded pass."""
     if algo not in _BENCHED:
@@ -134,7 +130,7 @@ def run_bench(
         raise ValueError("reps must be >= 1")
     data = generate_set(set_id)
     impl = kernel.load_backend(backend)
-    fn = kernel.bind_cap(algo, getattr(impl, kernel.ALGOS[algo].entry), cap)
+    fn = getattr(impl, kernel.ALGOS[algo].entry)
 
     primes = 0
     for x in data:  # warm-up pass, discarded
@@ -173,13 +169,6 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
-def _jobs_arg(text: str) -> int:
-    jobs = _int_arg(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"need at least one job, not {jobs}")
-    return jobs
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="primekit",
@@ -203,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seeded random odd 64-bit draws, vs the bpsw referee",
     )
     v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--jobs", type=_jobs_arg, default=1)
+    v.add_argument("--jobs", type=_int_arg, default=1)
 
     b = sub.add_parser("bench", help="time one algorithm over one fixed set")
     b.add_argument("--set", dest="set_id", type=int, choices=BENCH_SETS, required=True)
@@ -219,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--from", dest="start", type=_int_arg, required=True)
     s.add_argument("--to", dest="end", type=_int_arg, required=True)
     s.add_argument("--shards", type=int, default=16)
-    s.add_argument("--jobs", type=_jobs_arg, default=1)
+    s.add_argument("--jobs", type=_int_arg, default=1)
     s.add_argument("--checkpoint", default=None, metavar="FILE")
 
     sub.add_parser("corpus", help="re-run the worked-example corpus")
@@ -231,10 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_test(args, cap: int) -> int:
+def _cmd_test(args) -> int:
     trace = [] if args.trace else None
-    algo = functools.partial(RICH_ALGORITHMS[args.algo], trace=trace)
-    verdict = kernel.bind_cap(args.algo, algo, cap)(args.n)
+    verdict = RICH_ALGORITHMS[args.algo](args.n, trace=trace)
     if trace is not None:
         for step in trace:
             print(step.describe())
@@ -242,22 +230,18 @@ def _cmd_test(args, cap: int) -> int:
     return 0
 
 
-def _cmd_verify(args, cap: int) -> int:
+def _cmd_verify(args) -> int:
     if args.limit is not None:
-        records = exhaustive_verify(args.algo, args.limit, jobs=args.jobs, cap=cap)
+        records = exhaustive_verify(args.algo, args.limit, jobs=args.jobs)
     else:
-        records = random_verify(
-            args.algo, args.random, seed=args.seed, jobs=args.jobs, cap=cap
-        )
+        records = random_verify(args.algo, args.random, seed=args.seed, jobs=args.jobs)
     for rec in records:
         print(rec.to_json())
     return 1 if records else 0
 
 
-def _cmd_bench(args, cap: int) -> int:
-    result = run_bench(
-        args.set_id, args.algo, reps=args.reps, backend=args.backend, cap=cap
-    )
+def _cmd_bench(args) -> int:
+    result = run_bench(args.set_id, args.algo, reps=args.reps, backend=args.backend)
     if args.csv:
         print(CSV_HEADER)
         print(result.csv_row())
@@ -266,7 +250,7 @@ def _cmd_bench(args, cap: int) -> int:
     return 0
 
 
-def _cmd_search(args, cap: int) -> int:
+def _cmd_search(args) -> int:
     report = search_counterexamples(
         args.algo,
         args.start,
@@ -274,7 +258,6 @@ def _cmd_search(args, cap: int) -> int:
         shard_count=args.shards,
         checkpoint_path=args.checkpoint,
         jobs=args.jobs,
-        cap=cap,
     )
     for rec in report.mismatches:
         print(rec.to_json())
@@ -286,7 +269,7 @@ def _cmd_search(args, cap: int) -> int:
     return 1 if report.mismatches else 0
 
 
-def _cmd_corpus(args, cap: int) -> int:
+def _cmd_corpus(args) -> int:
     reports = corpus_verify()
     bad = 0
     for rep in reports:
@@ -298,9 +281,9 @@ def _cmd_corpus(args, cap: int) -> int:
     return 1 if bad else 0
 
 
-def _cmd_bigtest(args, cap: int) -> int:
+def _cmd_bigtest(args) -> int:
     fn = recipe256 if args.recipe == "256" else recipe2048
-    verdict = fn(args.n, cap=cap)
+    verdict = fn(args.n)
     print("probable prime" if verdict.is_prime else "composite")
     return 0
 
@@ -318,12 +301,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cap = int(os.environ.get("PRIME_SEARCH_CAP", DEFAULT_SEARCH_CAP))
-    except ValueError:
-        print("PRIME_SEARCH_CAP must be an integer", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args, cap)
+        return _COMMANDS[args.command](args)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

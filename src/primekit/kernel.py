@@ -45,15 +45,6 @@ ALGOS = {
 }
 
 
-def bind_cap(algo: str, fn, cap: int | None):
-    """``fn`` called with ``n`` alone: ``cap`` is bound as the second
-    positional argument when it is given and ``algo`` takes one. Serves the
-    kernel entry points and the rich tests alike."""
-    if cap is None or not ALGOS[algo].capped:
-        return fn
-    return lambda n: fn(n, cap)
-
-
 def load_backend(name: str = "auto"):
     """Return the kernel module for ``name``, one of BACKEND_CHOICES."""
     if name in ("py", "python"):

@@ -128,7 +128,6 @@ SEVEN_BASE_SCHEDULE: tuple[BaseSpec, ...] = (
 # sets; external knowledge, independent of the tests under study here.
 ORACLE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _ORACLE_DIVISORS = {p: Verdict(False, Stage.divisor_found(p), p) for p in ORACLE_BASES}
-_ORACLE_SMALL_PRIMES = {p: Verdict(True, _SMALL_PRIME_SCREEN, p) for p in ORACLE_BASES}
 _ORACLE_PRIME = Verdict(True, Stage.mr_round(ORACLE_BASES[-1]))
 
 
@@ -290,7 +289,9 @@ def _trial_division(n: int) -> Verdict | None:
         return _UNIT
     for p in ORACLE_BASES:
         if n % p == 0:
-            return _ORACLE_SMALL_PRIMES[p] if n == p else _ORACLE_DIVISORS[p]
+            if n == p:
+                return Verdict(True, _SMALL_PRIME_SCREEN, p)
+            return _ORACLE_DIVISORS[p]
     return None
 
 
@@ -311,7 +312,6 @@ _STRONG_LUCAS = Stage.strong_lucas()
 _BPSW_PRIME = Verdict(True, _STRONG_LUCAS)
 # no prime factor <= 37 and n < 41^2 proves n prime
 _NO_SMALL_FACTOR = Verdict(True, _SMALL_PRIME_SCREEN)
-_LUCAS_FAILURES: dict[int, Verdict] = {}  # by D; Selfridge's D stays small
 
 
 def bpsw(n: int, trace: list[TraceStep] | None = None) -> Verdict:
@@ -344,8 +344,8 @@ def bpsw(n: int, trace: list[TraceStep] | None = None) -> Verdict:
         trace.append(TraceStep(_BASE2_FAILURE.stage, None, ok))
     if not ok:
         return _BASE2_FAILURE
-    # the verdicts of a square and of a D sharing a factor with n are built
-    # per call: both need a base-2 strong pseudoprime, which is rare
+    # the composite verdicts past the base-2 round are built per call: each
+    # needs a base-2 strong pseudoprime, which is rare
     m = isqrt(n)
     if m * m == n:
         return _divisor(m, trace)
@@ -357,12 +357,7 @@ def bpsw(n: int, trace: list[TraceStep] | None = None) -> Verdict:
     ok = _strong_lucas(n, d)
     if trace is not None:
         trace.append(TraceStep(_STRONG_LUCAS, d, ok))
-    if ok:
-        return _BPSW_PRIME
-    v = _LUCAS_FAILURES.get(d)
-    if v is None:
-        v = _LUCAS_FAILURES[d] = Verdict(False, _STRONG_LUCAS, d)
-    return v
+    return _BPSW_PRIME if ok else Verdict(False, _STRONG_LUCAS, d)
 
 
 def _divisor(p: int, trace: list | None) -> Verdict:

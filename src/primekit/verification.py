@@ -86,28 +86,21 @@ class PrimeSieve:
 sieve = PrimeSieve
 
 
-def _algo_callable(algo: str, cap: int | None):
-    try:
-        fn = kernel.ALGORITHMS[algo]
-    except KeyError:
-        raise ValueError(f"unknown algorithm: {algo!r}") from None
-    return kernel.bind_cap(algo, fn, cap)
-
-
 # the ground truth of the sweeps that have no sieve
 REFEREE = "bpsw"
 
 
-def _check_sweep(algo: str, cap: int | None, jobs: int) -> None:
-    _algo_callable(algo, cap)
+def _check_sweep(algo: str, jobs: int) -> None:
+    if algo not in kernel.ALGOS:
+        raise ValueError(f"unknown algorithm: {algo!r}")
     if jobs < 1:
         raise ValueError(f"need at least one job, not {jobs}")
 
 
-def _check_refereed_sweep(algo: str, cap: int | None, jobs: int) -> None:
+def _check_refereed_sweep(algo: str, jobs: int) -> None:
     # checked against itself, the referee would report no mismatch and
     # prove nothing
-    _check_sweep(algo, cap, jobs)
+    _check_sweep(algo, jobs)
     if algo == REFEREE:
         raise ValueError(
             f"{algo!r} is the referee of the random and search sweeps; "
@@ -137,16 +130,16 @@ def _ground_truth(limit: int | None):
     return _sieve_flags(limit).__getitem__
 
 
-def _disagreements(algo: str, cap: int | None, ns, limit: int | None) -> list[int]:
+def _disagreements(algo: str, ns, limit: int | None) -> list[int]:
     """Worker: the n in ``ns`` where the kernel verdict differs from the
     ground truth of ``limit``."""
-    fn = _algo_callable(algo, cap)
+    fn = kernel.ALGORITHMS[algo]
     truth = _ground_truth(limit)
     return [n for n in ns if fn(n) != truth(n)]
 
 
 def _dispatch(tasks: list[tuple], jobs: int):
-    """Run ``(algo, cap, ns, limit)`` tasks through ``_disagreements`` and
+    """Run ``(algo, ns, limit)`` tasks through ``_disagreements`` and
     yield (task index, disagreements) as each one finishes: in turn in this
     process when ``jobs == 1``, else from one pool of ``jobs`` processes."""
     if jobs == 1:
@@ -159,9 +152,9 @@ def _dispatch(tasks: list[tuple], jobs: int):
             yield futs[fut], fut.result()
 
 
-def _records(algo: str, cap: int | None, ns, limit: int | None) -> list[MismatchRecord]:
+def _records(algo: str, ns, limit: int | None) -> list[MismatchRecord]:
     truth = _ground_truth(limit)
-    rich = kernel.bind_cap(algo, RICH_ALGORITHMS[algo], cap)
+    rich = RICH_ALGORITHMS[algo]
     labels = ("composite", "prime")
     return [
         MismatchRecord(n, algo, labels[bool(truth(n))], labels[not truth(n)],
@@ -173,22 +166,22 @@ def _records(algo: str, cap: int | None, ns, limit: int | None) -> list[Mismatch
 # --- exhaustive sweep against the sieve -----------------------------------
 
 
-def exhaustive_verify(
-    algo: str, limit: int, jobs: int = 1, cap: int | None = None
-) -> list[MismatchRecord]:
+def exhaustive_verify(algo: str, limit: int, jobs: int = 1) -> list[MismatchRecord]:
     """Run ``algo`` on n = 2 and every odd n in [3, limit]; compare each
     verdict with the sieve. Returns all mismatches (expected: none)."""
-    _check_sweep(algo, cap, jobs)
+    _check_sweep(algo, jobs)
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, not {limit}")
     if limit < 2:
         return []
     # n = 2 is checked here, which also builds the sieve before the workers
     # fork, so they share it
-    bad = _disagreements(algo, cap, (2,), limit)
-    tasks = [(algo, cap, range(lo | 1, hi + 1, 2), limit)
+    bad = _disagreements(algo, (2,), limit)
+    tasks = [(algo, range(lo | 1, hi + 1, 2), limit)
              for lo, hi in _split_range(3, limit, jobs * 4)]
     for _, part in _dispatch(tasks, jobs):
         bad.extend(part)
-    return _records(algo, cap, bad, limit)
+    return _records(algo, bad, limit)
 
 
 # --- random sampling against the referee ------------------------------------
@@ -200,20 +193,22 @@ def random_odd_u64(rng: random.Random) -> int:
 
 
 def random_verify(
-    algo: str, count: int, seed: int, jobs: int = 1, cap: int | None = None
+    algo: str, count: int, seed: int, jobs: int = 1
 ) -> list[MismatchRecord]:
     """Compare ``algo`` with the referee ``bpsw`` on ``count`` seeded random
     odd 64-bit integers. The draw sequence depends only on the seed (Python's
     Mersenne Twister via random.Random), so runs are reproducible."""
-    _check_refereed_sweep(algo, cap, jobs)
+    _check_refereed_sweep(algo, jobs)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, not {count}")
     rng = random.Random(seed)
     draws = [random_odd_u64(rng) for _ in range(count)]
     step = -(-len(draws) // jobs) or 1
-    tasks = [(algo, cap, draws[i : i + step], None) for i in range(0, len(draws), step)]
+    tasks = [(algo, draws[i : i + step], None) for i in range(0, len(draws), step)]
     bad = []
     for _, part in _dispatch(tasks, jobs):
         bad.extend(part)
-    return _records(algo, cap, bad, None)
+    return _records(algo, bad, None)
 
 
 # --- sharded counterexample search with checkpointing -----------------------
@@ -300,7 +295,6 @@ def search_counterexamples(
     shard_count: int,
     checkpoint_path: str | None = None,
     jobs: int = 1,
-    cap: int | None = None,
     stop_after_shards: int | None = None,
 ) -> SearchReport:
     """Compare ``algo`` against the referee ``bpsw`` on every odd n in
@@ -308,20 +302,20 @@ def search_counterexamples(
 
     With a checkpoint path, each completed shard is appended as a JSON line
     (fsynced) as soon as it finishes, and a rerun skips shards already on
-    file -- provided the file matches the requested algorithm, effective
-    search cap, range and shard layout exactly. ``stop_after_shards`` limits
-    how many pending shards this call runs (used to exercise
-    interruption/resume).
+    file -- provided the file matches the requested algorithm, the search
+    cap its kernel applies (``DEFAULT_SEARCH_CAP`` for ``ge``, ``mrge`` and
+    ``first``, None for the others), the range and the shard layout exactly.
+    ``stop_after_shards`` limits how many pending shards this call runs
+    (used to exercise interruption/resume).
     """
-    _check_refereed_sweep(algo, cap, jobs)
+    _check_refereed_sweep(algo, jobs)
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
     if not 0 <= start <= end <= U64_MAX:
         raise ValueError("need 0 <= start <= end < 2**64")
-    # the cap the kernel applies, so cap=None and the default compare equal
-    run_cap = None
-    if kernel.ALGOS[algo].capped:
-        run_cap = DEFAULT_SEARCH_CAP if cap is None else cap
+    if stop_after_shards is not None and stop_after_shards < 0:
+        raise ValueError(f"stop_after_shards must be >= 0, not {stop_after_shards}")
+    run_cap = DEFAULT_SEARCH_CAP if kernel.ALGOS[algo].capped else None
     shards = _split_range(start, end, shard_count)
     done: set[tuple[int, int]] = set()
     if checkpoint_path and os.path.exists(checkpoint_path):
@@ -330,16 +324,16 @@ def search_counterexamples(
     if stop_after_shards is not None:
         pending = pending[:stop_after_shards]
 
-    tasks = [(algo, cap, range(lo | 1, hi + 1, 2), None) for lo, hi in pending]
+    tasks = [(algo, range(lo | 1, hi + 1, 2), None) for lo, hi in pending]
     bad_ns: list[int] = []
     checked = 0
     for i, part in _dispatch(tasks, jobs):
         bad_ns.extend(part)
-        checked += len(tasks[i][2])
+        checked += len(tasks[i][1])
         if checkpoint_path:
             _append_checkpoint(checkpoint_path, *pending[i], algo, run_cap)
     return SearchReport(
-        mismatches=_records(algo, cap, bad_ns, None),
+        mismatches=_records(algo, bad_ns, None),
         shards_total=len(shards),
         shards_skipped=len(done),
         shards_run=len(pending),

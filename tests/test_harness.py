@@ -133,14 +133,20 @@ def test_cli_usage_errors():
         ["verify", "--algo", "ge"],  # needs --limit or --random
         ["bench", "--set", "9", "--algo", "ge"],
         ["bigtest", "123"],  # needs --recipe
-        ["verify", "--algo", "ge", "--limit", "100", "--jobs", "0"],
-        ["verify", "--algo", "ge", "--limit", "100", "--jobs", "-3"],
-        ["search", "--algo", "ge", "--from", "3", "--to", "9", "--jobs", "0"],
         ["nonsense"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+    # values that parse but the library refuses
+    for argv in (
+        ["verify", "--algo", "ge", "--limit", "100", "--jobs", "0"],
+        ["verify", "--algo", "ge", "--limit", "100", "--jobs", "-3"],
+        ["search", "--algo", "ge", "--from", "3", "--to", "9", "--jobs", "0"],
+        ["verify", "--algo", "ge", "--limit", "-5"],
+        ["verify", "--algo", "mrge", "--random", "-5"],
+    ):
+        assert main(argv) == 2, argv
 
 
 def _choices(command: str, dest: str) -> set:
@@ -205,14 +211,19 @@ def test_cli_search_checkpoint_corruption(tmp_path, capsys):
     assert rc == 2
 
 
-def test_cli_checkpoint_from_another_run(tmp_path, monkeypatch, capsys):
+def test_cli_checkpoint_from_another_run(tmp_path, capsys):
+    ck = tmp_path / "x.ckpt"
     argv = ["search", "--from", "3", "--to", "100001", "--shards", "4",
-            "--checkpoint", str(tmp_path / "x.ckpt")]
+            "--checkpoint", str(ck)]
     assert main(argv + ["--algo", "ge"]) == 0
     assert main(argv + ["--algo", "mr7"]) == 2
-    monkeypatch.setenv("PRIME_SEARCH_CAP", "5")
-    assert main(argv + ["--algo", "ge"]) == 2
     assert "refusing to resume" in capsys.readouterr().err
+    # a shard searched under another cap, written by hand
+    lines = [json.loads(line) for line in ck.read_text().splitlines()]
+    lines[0]["cap"] = 5
+    ck.write_text("".join(json.dumps(e) + "\n" for e in lines))
+    assert main(argv + ["--algo", "ge"]) == 2
+    assert "cap=5" in capsys.readouterr().err
 
 
 def test_cli_crashed_worker_is_not_a_usage_error(monkeypatch, capsys):
@@ -279,11 +290,3 @@ def test_cli_bench_csv(capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.strip().endswith(" backend=python")
 
-
-def test_cli_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("PRIME_SEARCH_CAP", "0")
-    assert main(["test", "101", "--algo", "ge"]) == 2
-    monkeypatch.setenv("PRIME_SEARCH_CAP", "junk")
-    assert main(["test", "101", "--algo", "ge"]) == 2
-    monkeypatch.delenv("PRIME_SEARCH_CAP")
-    assert main(["test", "101", "--algo", "ge"]) == 0

@@ -9,6 +9,7 @@ checkout's ``setup.py`` and sources, in a temporary copy, so the verdict
 depends on the commit and not on whatever build sits in the working tree.
 """
 
+import ast
 import importlib.util
 import os
 import random
@@ -76,11 +77,9 @@ def kernel_build(tmp_path_factory) -> Path:
         root / "src",
         ignore=shutil.ignore_patterns("*.so", "__pycache__", "*.egg-info"),
     )
-    env = {k: v for k, v in os.environ.items() if k != "PRIMEKIT_PURE_ONLY"}
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--inplace"],
         cwd=root,
-        env=env,
         capture_output=True,
         text=True,
     )
@@ -120,11 +119,7 @@ def test_compiled_kernel_is_built(kernel_build):
         "assert kernel.BACKEND == 'c', kernel.BACKEND\n"
         "print(kernel.__file__)\n"
     )
-    env = {
-        k: v
-        for k, v in os.environ.items()
-        if k not in ("PRIMEKIT_BACKEND", "PRIMEKIT_PURE_ONLY")
-    }
+    env = {k: v for k, v in os.environ.items() if k != "PRIMEKIT_BACKEND"}
     env["PYTHONPATH"] = str(kernel_build)
     proc = subprocess.run(
         [sys.executable, "-c", check],
@@ -146,16 +141,6 @@ def test_the_algorithm_table_pairs_each_entry_with_its_rich_test():
 def test_backend_exposes_every_entry(impl):
     for spec in kernel.ALGOS.values():
         assert callable(getattr(impl, spec.entry)), spec.entry
-
-
-def test_bind_cap_binds_exactly_the_capped_entries():
-    def entry(*args):
-        return args
-
-    for name, spec in kernel.ALGOS.items():
-        assert kernel.bind_cap(name, entry, None) is entry
-        bound = kernel.bind_cap(name, entry, 7)
-        assert bound(5) == ((5, 7) if spec.capped else (5,)), name
 
 
 def test_kernel_parity_small_range(impl):
@@ -317,9 +302,7 @@ def _select_backend(src: Path, backend: str) -> subprocess.CompletedProcess:
         "print(kernel.BACKEND)\n"
         "print(*[str(w.message) for w in caught], sep='\\n')\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "PRIMEKIT_PURE_ONLY"}
-    env["PRIMEKIT_BACKEND"] = backend
-    env["PYTHONPATH"] = str(src)
+    env = dict(os.environ, PRIMEKIT_BACKEND=backend, PYTHONPATH=str(src))
     return subprocess.run(
         [sys.executable, "-c", script],
         cwd=src.parent,
@@ -353,6 +336,43 @@ def test_backend_selection_env(kernel_build, tmp_path):
     assert _select_backend(tmp_path / "src", "c").returncode == 3
     proc = _select_backend(tmp_path / "src", "auto")
     assert proc.stdout.split() == ["python"], proc.stderr
+
+
+def _environment_reads(source: str) -> set[str]:
+    """The variable names that ``source`` reads through ``os.environ[...]``,
+    ``os.environ.get``, ``os.getenv`` or ``... in os.environ``; any other use
+    of ``os.environ`` or a name that is not a literal reads as ``?``."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    names = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ("environ", "getenv")):
+            continue
+        up = parent[node]
+        key = None
+        if node.attr == "getenv" and isinstance(up, ast.Call):
+            key = up.args[0]
+        elif isinstance(up, ast.Subscript):
+            key = up.slice
+        elif isinstance(up, ast.Compare):
+            key = up.left
+        elif isinstance(up, ast.Attribute) and isinstance(parent[up], ast.Call):
+            key = parent[up].args[0]
+        literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+        names.add(key.value if literal else "?")
+    return names
+
+
+def test_the_backend_is_the_only_environment_setting():
+    assert _environment_reads(
+        "import os\nos.getenv('A')\nos.environ['B']\nos.environ.get('C', 1)\n"
+        "'D' in os.environ\nos.environ.get(name)\n") == {"A", "B", "C", "D", "?"}
+    sources = [*sorted((REPO / "src" / "primekit").glob("*.py")), REPO / "setup.py"]
+    reads = {path.name: _environment_reads(path.read_text()) for path in sources}
+    assert {name: r for name, r in reads.items() if r} == {
+        "kernel.py": {"PRIMEKIT_BACKEND"}}
 
 
 @needs_build_tools

@@ -181,6 +181,22 @@ def test_search_rejects_zero_shards(tmp_path):
         assert not ck.exists()
 
 
+def test_sweeps_refuse_negative_sizes(tmp_path):
+    # each refuses before any work, where it once ran a smaller sweep and
+    # reported it clean
+    with pytest.raises(ValueError, match="limit"):
+        exhaustive_verify("ge", -5)
+    with pytest.raises(ValueError, match="count"):
+        random_verify("mrge", -5, seed=1)
+    ck = tmp_path / "search.ckpt"
+    with pytest.raises(ValueError, match="stop_after_shards"):
+        search_counterexamples("ge", 3, 1001, 4, checkpoint_path=str(ck),
+                               stop_after_shards=-1)
+    assert not ck.exists()
+    assert exhaustive_verify("ge", 0) == random_verify("mrge", 0, seed=1) == []
+    assert search_counterexamples("ge", 3, 1001, 4, stop_after_shards=0).shards_run == 0
+
+
 def test_search_rejects_bad_range():
     with pytest.raises(ValueError):
         search_counterexamples("ge", 100, 3, 1)
@@ -221,15 +237,21 @@ def test_checkpoint_resume_accounting(tmp_path):
 
 
 def test_checkpoint_lines_format(tmp_path):
-    ck = str(tmp_path / "search.ckpt")
-    search_counterexamples("ge", 3, 1001, 2, checkpoint_path=ck)
-    lines = open(ck).read().splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        obj = json.loads(line)
-        assert set(obj) == {"shard_start", "shard_end", "algo", "cap", "completed_at"}
-        assert obj["algo"] == "ge" and obj["cap"] == 1000
-        assert re.match(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}", obj["completed_at"])
+    # the cap is the one the kernel applies: the default for the tests that
+    # search, null for the others
+    for algo, cap in (("ge", 1000), ("mrge", 1000), ("first", 1000),
+                      ("mr7", None), ("oracle", None)):
+        ck = str(tmp_path / f"{algo}.ckpt")
+        search_counterexamples(algo, 3, 1001, 2, checkpoint_path=ck)
+        lines = open(ck).read().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            obj = json.loads(line)
+            assert set(obj) == {"shard_start", "shard_end", "algo", "cap",
+                                "completed_at"}
+            assert obj["algo"] == algo and obj["cap"] == cap
+            assert re.match(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}",
+                            obj["completed_at"])
 
 
 def test_checkpoint_corruption_refuses_resume(tmp_path):
@@ -249,18 +271,23 @@ def test_checkpoint_layout_mismatch_refuses_resume(tmp_path):
 
 
 def test_checkpoint_from_another_run_refuses_resume(tmp_path):
-    ck = str(tmp_path / "search.ckpt")
-    search_counterexamples("ge", 3, 1001, 2, checkpoint_path=ck)
-    for algo, cap in (("mr7", None), ("mrge", None), ("ge", 5)):
+    ck = tmp_path / "search.ckpt"
+    search_counterexamples("ge", 3, 1001, 2, checkpoint_path=str(ck))
+    for algo in ("mr7", "mrge"):
         with pytest.raises(CheckpointError):
-            search_counterexamples(algo, 3, 1001, 2, checkpoint_path=ck, cap=cap)
-    # cap=None is the default cap the CLI passes explicitly
-    again = search_counterexamples("ge", 3, 1001, 2, checkpoint_path=ck, cap=1000)
+            search_counterexamples(algo, 3, 1001, 2, checkpoint_path=str(ck))
+    again = search_counterexamples("ge", 3, 1001, 2, checkpoint_path=str(ck))
     assert again.shards_skipped == 2 and again.checked == 0
+
+    # a shard searched under another cap, written by hand
+    first, second = (json.loads(line) for line in ck.read_text().splitlines())
+    ck.write_text(json.dumps(first) + "\n" + json.dumps({**second, "cap": 5}) + "\n")
+    with pytest.raises(CheckpointError, match="cap=5"):
+        search_counterexamples("ge", 3, 1001, 2, checkpoint_path=str(ck))
 
     # a cap-less algorithm records cap null and resumes only under itself
     ck7 = str(tmp_path / "mr7.ckpt")
-    search_counterexamples("mr7", 3, 1001, 2, checkpoint_path=ck7, cap=1000)
+    search_counterexamples("mr7", 3, 1001, 2, checkpoint_path=ck7)
     assert [json.loads(line)["cap"] for line in open(ck7)] == [None, None]
     assert search_counterexamples("mr7", 3, 1001, 2, checkpoint_path=ck7).shards_skipped == 2
     with pytest.raises(CheckpointError):
