@@ -17,9 +17,11 @@
 
 typedef unsigned __int128 u128;
 
+/* candidates per nonresidue walk; equal to primekit.residues.DEFAULT_SEARCH_CAP */
 #define DEFAULT_SEARCH_CAP 1000
 
-/* verdicts of the capped tests; PASSED means no stage has decided n yet */
+/* verdicts of the tests that walk the nonresidue search; PASSED means no
+   stage has decided n yet */
 enum { CAP_EXCEEDED = -1, COMPOSITE = 0, PRIME = 1, PASSED = 2 };
 
 static inline uint64_t mulmod64(uint64_t a, uint64_t b, uint64_t m)
@@ -74,12 +76,13 @@ static inline int is_small_prime(uint64_t p)
 /* Smallest prime p = first + k*step with (n/p) = -1, checked by Euler's
    criterion, then the reciprocity check p^((n-1)/2) == want (mod n).
    A candidate dividing n ends the search: PRIME when it is n itself,
-   COMPOSITE otherwise. CAP_EXCEEDED after cap candidates without a decision. */
-static int reciprocity(uint64_t n, uint64_t first, uint64_t step, uint64_t cap,
-                       uint64_t want)
+   COMPOSITE otherwise. CAP_EXCEEDED after DEFAULT_SEARCH_CAP candidates
+   without a decision. */
+static int reciprocity(uint64_t n, uint64_t first, uint64_t step, uint64_t want)
 {
-    uint64_t c = first, seen, v;
-    for (seen = 0; seen < cap; seen++, c += step) {
+    uint64_t c = first, v;
+    int seen;
+    for (seen = 0; seen < DEFAULT_SEARCH_CAP; seen++, c += step) {
         if (!is_small_prime(c))
             continue;
         v = powmod64(n % c, (c - 1) >> 1, c);
@@ -114,7 +117,7 @@ static int strong_rounds(uint64_t n, const uint64_t *bases, int count)
     return 1;
 }
 
-static int ge(uint64_t n, uint64_t cap)
+static int ge(uint64_t n)
 {
     uint64_t e, want, m, h, q;
     int i, r;
@@ -137,14 +140,14 @@ static int ge(uint64_t n, uint64_t cap)
             return COMPOSITE;
     }
     /* smallest 8k+5 then 8k+1 prime p with (n/p) = -1; each must give n-1 */
-    if ((r = reciprocity(n, 5, 8, cap, n - 1)) != PASSED)
+    if ((r = reciprocity(n, 5, 8, n - 1)) != PASSED)
         return r;
-    if ((r = reciprocity(n, 17, 8, cap, n - 1)) != PASSED)
+    if ((r = reciprocity(n, 17, 8, n - 1)) != PASSED)
         return r;
     return PRIME;
 }
 
-static int mrge(uint64_t n, uint64_t cap)
+static int mrge(uint64_t n)
 {
     uint64_t m, h;
     int r;
@@ -161,11 +164,11 @@ static int mrge(uint64_t n, uint64_t cap)
     const uint64_t bases[5] = {2, m - 1, m + 1, h - 1, h + 1};
     if (!strong_rounds(n, bases, 5))
         return COMPOSITE;
-    r = reciprocity(n, 3, 4, cap, n % 4 == 1 ? n - 1 : 1);
+    r = reciprocity(n, 3, 4, n % 4 == 1 ? n - 1 : 1);
     return r == PASSED ? PRIME : r;
 }
 
-static int first_attempt(uint64_t n, uint64_t cap)
+static int first_attempt(uint64_t n)
 {
     uint64_t m, h;
     int r;
@@ -180,7 +183,7 @@ static int first_attempt(uint64_t n, uint64_t cap)
     const uint64_t bases[5] = {2, m, m + 1, h, h + 1};
     if (!strong_rounds(n, bases, 5))
         return COMPOSITE;
-    r = reciprocity(n, 5, 4, cap, n - 1);
+    r = reciprocity(n, 5, 4, n - 1);
     return r == PASSED ? PRIME : r;
 }
 
@@ -378,21 +381,6 @@ static int as_u64(PyObject *o, uint64_t *out)
     return 0;
 }
 
-/* A search cap: a negative one inspects nothing, a huge one is unbounded. */
-static int as_cap(PyObject *o, uint64_t *out)
-{
-    int overflow;
-    long long v;
-    if (!(o = PyNumber_Index(o)))
-        return -1;
-    v = PyLong_AsLongLongAndOverflow(o, &overflow);
-    Py_DECREF(o);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    *out = overflow > 0 ? UINT64_MAX : v < 0 ? 0 : (uint64_t)v;
-    return 0;
-}
-
 /* --- entry points --------------------------------------------------------- */
 
 static PyObject *modular(const char *name, uint64_t (*op)(uint64_t, uint64_t, uint64_t),
@@ -415,7 +403,7 @@ static PyObject *modular(const char *name, uint64_t (*op)(uint64_t, uint64_t, ui
    backends raise the same error. The class is looked up when raised, not
    at module init: primekit.kernel loads this module while the package is
    still importing. */
-static PyObject *search_cap_exceeded(uint64_t n, uint64_t cap)
+static PyObject *search_cap_exceeded(uint64_t n)
 {
     PyObject *module, *cls;
     if (!(module = PyImport_ImportModule("primekit.detprime64")))
@@ -424,26 +412,21 @@ static PyObject *search_cap_exceeded(uint64_t n, uint64_t cap)
     Py_DECREF(module);
     if (!cls)
         return NULL;
-    PyErr_Format(cls, "nonresidue search exceeded its cap of %llu candidates for n=%llu",
-                 (unsigned long long)cap, (unsigned long long)n);
+    PyErr_Format(cls, "nonresidue search exceeded its cap of %d candidates for n=%llu",
+                 DEFAULT_SEARCH_CAP, (unsigned long long)n);
     Py_DECREF(cls);
     return NULL;
 }
 
-static PyObject *capped(const char *name, int (*test)(uint64_t, uint64_t),
-                        PyObject *const *args, Py_ssize_t nargs)
+/* The verdict of a test that walks the nonresidue search. */
+static PyObject *capped(int (*test)(uint64_t), PyObject *arg)
 {
-    uint64_t n, cap = DEFAULT_SEARCH_CAP;
+    uint64_t n;
     int r;
-    if (nargs < 1 || nargs > 2)
-        return PyErr_Format(PyExc_TypeError, "%s expected 1 or 2 arguments, got %zd",
-                            name, nargs);
-    if (as_u64(args[0], &n) || (nargs == 2 && as_cap(args[1], &cap)))
+    if (as_u64(arg, &n))
         return NULL;
-    r = test(n, cap);
-    if (r == CAP_EXCEEDED)
-        return search_cap_exceeded(n, cap);
-    return PyBool_FromLong(r);
+    r = test(n);
+    return r == CAP_EXCEEDED ? search_cap_exceeded(n) : PyBool_FromLong(r);
 }
 
 static PyObject *py_mulmod(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
@@ -462,22 +445,19 @@ static PyObject *py_isqrt64(PyObject *Py_UNUSED(module), PyObject *arg)
     return as_u64(arg, &n) ? NULL : PyLong_FromUnsignedLongLong(isqrt64(n));
 }
 
-static PyObject *py_ge_is_prime(PyObject *Py_UNUSED(module), PyObject *const *args,
-                                Py_ssize_t nargs)
+static PyObject *py_ge_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
 {
-    return capped("ge_is_prime", ge, args, nargs);
+    return capped(ge, arg);
 }
 
-static PyObject *py_mrge_is_prime(PyObject *Py_UNUSED(module), PyObject *const *args,
-                                  Py_ssize_t nargs)
+static PyObject *py_mrge_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
 {
-    return capped("mrge_is_prime", mrge, args, nargs);
+    return capped(mrge, arg);
 }
 
-static PyObject *py_first_attempt_is_prime(PyObject *Py_UNUSED(module),
-                                           PyObject *const *args, Py_ssize_t nargs)
+static PyObject *py_first_attempt_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
 {
-    return capped("first_attempt_is_prime", first_attempt, args, nargs);
+    return capped(first_attempt, arg);
 }
 
 static PyObject *py_mr7_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
@@ -509,12 +489,12 @@ static PyMethodDef methods[] = {
      "a**e % m by square-and-multiply over 128-bit products."},
     {"isqrt64", py_isqrt64, METH_O,
      "isqrt64($module, n, /)\n--\n\nExact floor square root of a u64."},
-    {"ge_is_prime", FASTCALL(py_ge_is_prime),
-     "ge_is_prime($module, n, cap=1000, /)\n--\n\nThe Gauss-Euler test."},
-    {"mrge_is_prime", FASTCALL(py_mrge_is_prime),
-     "mrge_is_prime($module, n, cap=1000, /)\n--\n\nThe MR-GE test."},
-    {"first_attempt_is_prime", FASTCALL(py_first_attempt_is_prime),
-     "first_attempt_is_prime($module, n, cap=1000, /)\n--\n\n"
+    {"ge_is_prime", py_ge_is_prime, METH_O,
+     "ge_is_prime($module, n, /)\n--\n\nThe Gauss-Euler test."},
+    {"mrge_is_prime", py_mrge_is_prime, METH_O,
+     "mrge_is_prime($module, n, /)\n--\n\nThe MR-GE test."},
+    {"first_attempt_is_prime", py_first_attempt_is_prime, METH_O,
+     "first_attempt_is_prime($module, n, /)\n--\n\n"
      "The rejected first design of MR-GE."},
     {"mr7_is_prime", py_mr7_is_prime, METH_O,
      "mr7_is_prime($module, n, /)\n--\n\nThe seven-base strong-round variant."},

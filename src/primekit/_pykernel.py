@@ -12,7 +12,6 @@ import math
 from . import modarith
 from .detprime64 import gauss_euler, mr_ge, mr_ge_first_attempt
 from .modarith import require_u64
-from .residues import DEFAULT_SEARCH_CAP
 from .sprp import bpsw, reference_oracle64, seven_base_variant
 
 BACKEND_NAME = "python"
@@ -30,16 +29,16 @@ def isqrt64(n, /):
     return math.isqrt(require_u64(n))
 
 
-def ge_is_prime(n, cap=DEFAULT_SEARCH_CAP, /):
-    return gauss_euler(n, cap).is_prime
+def ge_is_prime(n, /):
+    return gauss_euler(n).is_prime
 
 
-def mrge_is_prime(n, cap=DEFAULT_SEARCH_CAP, /):
-    return mr_ge(n, cap).is_prime
+def mrge_is_prime(n, /):
+    return mr_ge(n).is_prime
 
 
-def first_attempt_is_prime(n, cap=DEFAULT_SEARCH_CAP, /):
-    return mr_ge_first_attempt(n, cap).is_prime
+def first_attempt_is_prime(n, /):
+    return mr_ge_first_attempt(n).is_prime
 
 
 def mr7_is_prime(n, /):

@@ -14,7 +14,6 @@ from operator import index
 
 from .detprime64 import reciprocity_checks
 from .residues import (
-    DEFAULT_SEARCH_CAP,
     FORM_4K1,
     FORM_4K3,
     FORM_8K1,
@@ -60,19 +59,16 @@ RECIPE_2048 = Recipe(
 
 
 def run_recipe(
-    n: int,
-    recipe: Recipe,
-    cap: int = DEFAULT_SEARCH_CAP,
-    trace: list[TraceStep] | None = None,
+    n: int, recipe: Recipe, *, trace: list[TraceStep] | None = None
 ) -> Verdict:
     """Apply a recipe to any-width n >= 0; returns probable-prime/composite.
 
     The base isqrt(n) is in every recipe, which structurally rejects
     perfect squares before the form searches (where a square could never
-    find a -1 symbol). ``n`` and ``cap`` must be integers: a float raises
-    TypeError, as on the 64-bit paths.
+    find a -1 symbol). ``n`` must be an integer: a float raises TypeError, as
+    on the 64-bit paths.
     """
-    n, cap = index(n), index(cap)
+    n = index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     # odd composites below 100 go on to the rounds
@@ -81,18 +77,18 @@ def run_recipe(
         v = strong_rounds(n, _usable_bases(n, recipe.mr_bases), trace)
     if v is not None:
         return v
-    return reciprocity_checks(n, recipe.reciprocity_forms, cap, trace)
+    return reciprocity_checks(n, recipe.reciprocity_forms, trace)
 
 
-def recipe256(n: int, cap: int = DEFAULT_SEARCH_CAP, trace=None) -> Verdict:
+def recipe256(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     """10 strong-round bases, then 4k+1 and 4k+3 reciprocity checks.
 
     Intended for candidates up to ~2^256; wider inputs are accepted."""
-    return run_recipe(n, RECIPE_256, cap, trace)
+    return run_recipe(n, RECIPE_256, trace=trace)
 
 
-def recipe2048(n: int, cap: int = DEFAULT_SEARCH_CAP, trace=None) -> Verdict:
+def recipe2048(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     """26 strong-round bases, then 8k+1/8k+3/8k+5/8k+7 reciprocity checks.
 
     Intended for candidates up to ~2^2048; wider inputs are accepted."""
-    return run_recipe(n, RECIPE_2048, cap, trace)
+    return run_recipe(n, RECIPE_2048, trace=trace)

@@ -19,7 +19,6 @@ a proven fact.
 """
 
 from math import isqrt
-from operator import index
 
 from .modarith import powmod, require_u64
 from .residues import (
@@ -44,22 +43,19 @@ _MOD8_FAILURE = Verdict(False, _MOD8_EULER, 2)
 
 class SearchCapExceeded(RuntimeError):
     """The nonresidue search ran out of candidates: a hard failure, never a
-    verdict. The default cap is 1,000 candidates; on 200,000 seeded random
-    64-bit primes the longest walks took 37 (8k+5), 53 (8k+1) and 42 (4k+3)."""
+    verdict. Every walk stops after ``DEFAULT_SEARCH_CAP`` (1,000) candidates;
+    on 200,000 seeded random 64-bit primes the longest walks took 37 (8k+5),
+    53 (8k+1) and 42 (4k+3)."""
 
 
-def gauss_euler(
-    n: int,
-    cap: int = DEFAULT_SEARCH_CAP,
-    trace: list[TraceStep] | None = None,
-) -> Verdict:
+def gauss_euler(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     """Gauss-Euler primality verdict for 0 <= n < 2^64.
 
     Candidates below 100 go to trial division: the reciprocity search
     misbehaves when the searched prime can reach n itself, so tiny inputs
     are screened rather than special-cased downstream.
     """
-    n, cap = require_u64(n), index(cap)
+    n = require_u64(n)
     v = small_screen(n, 100, 100)
     if v is not None:
         return v
@@ -87,21 +83,17 @@ def gauss_euler(
         if not ok:
             return Verdict(False, Stage.sqrt_base(a), a)
 
-    return reciprocity_checks(n, (FORM_8K5, FORM_8K1), cap, trace)
+    return reciprocity_checks(n, (FORM_8K5, FORM_8K1), trace)
 
 
-def mr_ge(
-    n: int,
-    cap: int = DEFAULT_SEARCH_CAP,
-    trace: list[TraceStep] | None = None,
-) -> Verdict:
+def mr_ge(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     """MR-GE primality verdict for 0 <= n < 2^64.
 
     Perfect squares are rejected up front: none of the five round bases is
     isqrt(n) itself, so squares are not structurally excluded, and the
     4k+3 search cannot terminate with -1 on a square.
     """
-    n, cap = require_u64(n), index(cap)
+    n = require_u64(n)
     v = small_screen(n, 9, 9)
     if v is not None:
         return v
@@ -116,17 +108,13 @@ def mr_ge(
     v = strong_rounds(n, (2, m - 1, m + 1, h - 1, h + 1), trace)
     if v is not None:
         return v
-    return reciprocity_checks(n, (FORM_4K3,), cap, trace)
+    return reciprocity_checks(n, (FORM_4K3,), trace)
 
 
-def mr_ge_first_attempt(
-    n: int,
-    cap: int = DEFAULT_SEARCH_CAP,
-    trace: list[TraceStep] | None = None,
-) -> Verdict:
+def mr_ge_first_attempt(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     """The rejected first MR-GE design; 17364052083370132981 (composite)
     passes it. Retained so that falsification stays reproducible."""
-    n, cap = require_u64(n), index(cap)
+    n = require_u64(n)
     v = small_screen(n, 9, 9)
     if v is not None:
         return v
@@ -136,25 +124,23 @@ def mr_ge_first_attempt(
     v = strong_rounds(n, (2, m, m + 1, h, h + 1), trace)
     if v is not None:
         return v
-    return reciprocity_checks(n, (FORM_4K1,), cap, trace)
+    return reciprocity_checks(n, (FORM_4K1,), trace)
 
 
 def reciprocity_checks(
-    n: int,
-    forms: tuple[Form, ...],
-    cap: int,
-    trace: list[TraceStep] | None = None,
+    n: int, forms: tuple[Form, ...], trace: list[TraceStep] | None = None
 ) -> Verdict:
     """The form searches and their Euler checks; the final verdict.
 
     For each form (at least one), the smallest prime p with (n/p) = -1
     must give p^((n-1)/2) = (p/n) mod n. Composite at the first failing
     check or at a divisor the search meets; prime when every check passes,
-    or when the search reaches n itself and thereby proves it prime.
+    or when the search reaches n itself and thereby proves it prime. Each
+    search walks at most ``DEFAULT_SEARCH_CAP`` candidates, read at call time.
     """
     e = (n - 1) >> 1
     for form in forms:
-        status, p, _ = _search(n, form, True, cap)
+        status, p, _ = _search(n, form, True, DEFAULT_SEARCH_CAP)
         if status == FOUND:
             r = powmod(p, e, n)
             # by reciprocity, (p/n) = +1 only when p and n are both 4k+3
@@ -180,7 +166,8 @@ def reciprocity_checks(
             return Verdict(False, stage, p)
         else:
             raise SearchCapExceeded(
-                f"no {form} prime with (n/p) = -1 within {cap} candidates for n={n}"
+                f"no {form} prime with (n/p) = -1 within {DEFAULT_SEARCH_CAP} "
+                f"candidates for n={n}"
             )
     return v
 

@@ -308,8 +308,9 @@ def main(argv=None) -> int:
     except BrokenProcessPool as exc:  # a RuntimeError, but not a usage error
         print(f"error: a worker process crashed: {exc}", file=sys.stderr)
         return 3
-    except (OverflowError, ValueError, RuntimeError) as exc:
-        # RuntimeError covers an exhausted nonresidue search: a hard
+    except (ImportError, OverflowError, ValueError, RuntimeError) as exc:
+        # ImportError covers --backend c on a tree without the compiled
+        # kernel, and RuntimeError an exhausted nonresidue search: a hard
         # failure, never a verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,8 +21,9 @@ BACKEND_CHOICES = ("auto", "c", "py", "python")
 @dataclass(frozen=True)
 class AlgoSpec:
     """The kernel entry point (the same name in both backends), the rich
-    stage-carrying test, whether both take a search cap as their second
-    argument, and whether ``bench`` times the algorithm."""
+    stage-carrying test, whether the test walks the nonresidue search (its
+    checkpoints then record the search cap), and whether ``bench`` times the
+    algorithm."""
 
     entry: str
     rich: Callable[..., Verdict]
@@ -52,8 +53,13 @@ def load_backend(name: str = "auto"):
 
         return _pykernel
     if name == "c":
-        from . import _kernel64  # ImportError here means it was never built
-
+        try:
+            from . import _kernel64
+        except ImportError as exc:
+            raise ImportError(
+                "the compiled kernel primekit._kernel64 is not built "
+                "(python setup.py build_ext --inplace builds it)"
+            ) from exc
         return _kernel64
     if name not in BACKEND_CHOICES:
         warnings.warn(f"unknown kernel backend {name!r}; using auto")

@@ -3,9 +3,11 @@
 The deterministic tests repeatedly need the smallest prime p in an
 arithmetic progression (4k+1, 8k+5, ...) such that n is a quadratic
 non-residue mod p. The search walks the progression one candidate at a
-time from the form's first candidate; a candidate below 8,192 is known
-prime from a sieve table, and one above it, reachable only with a cap
-above the default, by trial division. The symbol (n/p) is evaluated by
+time from the form's first candidate. The tests stop each walk after
+``DEFAULT_SEARCH_CAP`` candidates, a guard that no input has reached;
+``smallest_nonresidue_prime`` takes its cap as an argument. A candidate
+below 8,192 is known prime from a sieve table, and one above it, reachable
+only with a larger cap, by trial division. The symbol (n/p) is evaluated by
 Euler's criterion modulo the small p, which is cheap because p stays tiny
 in practice.
 """
@@ -26,8 +28,9 @@ SELF_PRIME = "self-prime"
 EXHAUSTED = "exhausted"
 
 
-# With the default cap and a step of at most 8 from a first candidate of at
-# most 17, no candidate exceeds 8,009, so the table covers every default search.
+# With DEFAULT_SEARCH_CAP candidates and a step of at most 8 from a first
+# candidate of at most 17, no candidate exceeds 8,009, so the table covers
+# every search of the tests.
 _TABLE_LIMIT = 8192
 
 

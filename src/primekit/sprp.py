@@ -269,7 +269,7 @@ def strong_rounds(
     return None
 
 
-def seven_base_variant(n: int, trace: list[TraceStep] | None = None) -> Verdict:
+def seven_base_variant(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     """Rounds with bases 2, 5, 17 and the four sqrt-derived bases
     isqrt(n), isqrt(n)+1, isqrt(n//2), isqrt(n//2)+1.
 
@@ -295,7 +295,7 @@ def _trial_division(n: int) -> Verdict | None:
     return None
 
 
-def reference_oracle64(n: int, trace: list[TraceStep] | None = None) -> Verdict:
+def reference_oracle64(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     """Exact primality verdict for any n < 2^64, via the fixed twelve-prime
     base set. An algorithm checked against ``bpsw``, which it shares no
     strong-round code with."""
@@ -314,7 +314,7 @@ _BPSW_PRIME = Verdict(True, _STRONG_LUCAS)
 _NO_SMALL_FACTOR = Verdict(True, _SMALL_PRIME_SCREEN)
 
 
-def bpsw(n: int, trace: list[TraceStep] | None = None) -> Verdict:
+def bpsw(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     """Baillie-PSW verdict for 0 <= n < 2^64: trial division by the primes
     up to 37, one base-2 strong round, then a strong Lucas test with P = 1,
     Q = (1 - D)/4 and Selfridge's D, the first of 5, -7, 9, -11, ... with

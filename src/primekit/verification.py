@@ -192,22 +192,31 @@ def random_odd_u64(rng: random.Random) -> int:
     return 2 * rng.randrange(1, 1 << 63) + 1
 
 
+# draws held per job at a time by random_verify
+RANDOM_CHUNK = 2**16
+
+
 def random_verify(
     algo: str, count: int, seed: int, jobs: int = 1
 ) -> list[MismatchRecord]:
     """Compare ``algo`` with the referee ``bpsw`` on ``count`` seeded random
     odd 64-bit integers. The draw sequence depends only on the seed (Python's
-    Mersenne Twister via random.Random), so runs are reproducible."""
+    Mersenne Twister via random.Random), so runs are reproducible. The draws
+    are made and checked ``RANDOM_CHUNK * jobs`` at a time, each batch split
+    evenly between the jobs, so memory stays bounded for any count."""
     _check_refereed_sweep(algo, jobs)
     if count < 0:
         raise ValueError(f"count must be >= 0, not {count}")
     rng = random.Random(seed)
-    draws = [random_odd_u64(rng) for _ in range(count)]
-    step = -(-len(draws) // jobs) or 1
-    tasks = [(algo, draws[i : i + step], None) for i in range(0, len(draws), step)]
     bad = []
-    for _, part in _dispatch(tasks, jobs):
-        bad.extend(part)
+    batch = RANDOM_CHUNK * jobs
+    for done in range(0, count, batch):
+        size = min(batch, count - done)
+        step = -(-size // jobs)
+        tasks = [(algo, [random_odd_u64(rng) for _ in range(min(step, size - i))], None)
+                 for i in range(0, size, step)]
+        for _, part in _dispatch(tasks, jobs):
+            bad.extend(part)
     return _records(algo, bad, None)
 
 

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from primekit import detprime64, harness, kernel
+from primekit.bigrecipes import recipe256
 from primekit.detprime64 import (
     SearchCapExceeded,
     gauss_euler,
@@ -157,11 +159,16 @@ def test_trace_shows_passed_stages_before_failure():
     assert trace[6].stage.kind == RECIPROCITY and str(trace[6].stage.form) == "8k+1"
 
 
-def test_exhausted_search_is_an_error_not_a_verdict():
-    with pytest.raises(SearchCapExceeded):
-        gauss_euler(101, cap=0)
-    with pytest.raises(SearchCapExceeded):
-        mr_ge(101, cap=0)
+def test_exhausted_search_is_an_error_not_a_verdict(monkeypatch, capsys):
+    # a walk that may inspect no candidate exhausts on every n that reaches it
+    monkeypatch.setattr(detprime64, "DEFAULT_SEARCH_CAP", 0)
+    pure = kernel.load_backend("py")
+    for test in (gauss_euler, mr_ge, mr_ge_first_attempt, recipe256,
+                 pure.ge_is_prime, pure.mrge_is_prime, pure.first_attempt_is_prime):
+        with pytest.raises(SearchCapExceeded, match="within 0 candidates"):
+            test(101)
+    assert harness.main(["test", "101"]) == 2
+    assert capsys.readouterr().err.startswith("error: no 8k+5 prime")
 
 
 def test_u64_range_enforced():

@@ -290,3 +290,16 @@ def test_cli_bench_csv(capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.strip().endswith(" backend=python")
 
+
+
+def test_cli_bench_without_the_compiled_kernel(monkeypatch, capsys):
+    # as on a tree where primekit._kernel64 was never built: a usage error
+    # on one line, not a traceback that exits 1 ("mismatch found")
+    monkeypatch.setitem(sys.modules, "primekit._kernel64", None)
+    monkeypatch.delattr(primekit, "_kernel64", raising=False)
+    argv = ["bench", "--set", "1", "--algo", "ge", "--reps", "1", "--backend", "c"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the compiled kernel") and "not built" in err

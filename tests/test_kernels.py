@@ -13,6 +13,7 @@ import ast
 import importlib.util
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primekit import kernel
+from primekit import detprime64, kernel, residues
 from primekit.detprime64 import (
     SearchCapExceeded,
     gauss_euler,
@@ -65,11 +66,15 @@ CORPUS_NS = (
 )
 
 
-@pytest.fixture(scope="session")
-def kernel_build(tmp_path_factory) -> Path:
-    """Run ``setup.py build_ext --inplace`` in a temporary copy of the
-    checkout; returns the copy's ``src`` directory holding the built module."""
-    root = tmp_path_factory.mktemp("kernel_build")
+# the one line of _kernel64.c that sets the nonresidue walk's cap
+CAP_DEFINE = re.compile(r"^#define DEFAULT_SEARCH_CAP (\d+)$", re.MULTILINE)
+
+
+def _build_copy(root: Path, edit_source=None) -> Path:
+    """Run ``setup.py build_ext --inplace`` in a copy of the checkout under
+    ``root``, after ``edit_source`` rewrites the copied ``_kernel64.c`` text
+    when one is given; returns the copy's ``src`` directory holding the
+    built module."""
     shutil.copy2(REPO / "setup.py", root)
     shutil.copy2(REPO / "pyproject.toml", root)
     shutil.copytree(
@@ -77,6 +82,9 @@ def kernel_build(tmp_path_factory) -> Path:
         root / "src",
         ignore=shutil.ignore_patterns("*.so", "__pycache__", "*.egg-info"),
     )
+    if edit_source is not None:
+        source = root / "src" / "primekit" / "_kernel64.c"
+        source.write_text(edit_source(source.read_text()))
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--inplace"],
         cwd=root,
@@ -90,15 +98,38 @@ def kernel_build(tmp_path_factory) -> Path:
     return root / "src"
 
 
-@pytest.fixture(scope="session")
-def c_kernel(kernel_build):
-    """The freshly built compiled kernel, loaded from its file."""
+def _load_build(src: Path):
+    """The compiled kernel built in ``src``, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
-        "primekit._kernel64", kernel_build / "primekit" / EXT_FILE
+        "primekit._kernel64", src / "primekit" / EXT_FILE
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def kernel_build(tmp_path_factory) -> Path:
+    """A build of this checkout's sources, in a temporary copy."""
+    return _build_copy(tmp_path_factory.mktemp("kernel_build"))
+
+
+@pytest.fixture(scope="session")
+def c_kernel(kernel_build):
+    """The freshly built compiled kernel."""
+    return _load_build(kernel_build)
+
+
+@pytest.fixture(scope="session")
+def zero_cap_c_kernel(tmp_path_factory):
+    """A compiled kernel built with the cap define rewritten to 0."""
+
+    def zero_cap(source: str) -> str:
+        source, count = CAP_DEFINE.subn("#define DEFAULT_SEARCH_CAP 0", source)
+        assert count == 1
+        return source
+
+    return _load_build(_build_copy(tmp_path_factory.mktemp("zero_cap"), zero_cap))
 
 
 @pytest.fixture(params=[pytest.param("c", marks=needs_build_tools), "python"])
@@ -236,23 +267,34 @@ def test_kernel_zero_modulus(impl):
         impl.powmod(1, 2, 0)
 
 
-def test_kernel_exhausted_cap_raises(impl):
+@pytest.fixture(params=[pytest.param("c", marks=needs_build_tools), "python"])
+def zero_cap_impl(request, monkeypatch):
+    """A kernel whose nonresidue walk may inspect no candidate."""
+    if request.param == "c":
+        return request.getfixturevalue("zero_cap_c_kernel")
+    monkeypatch.setattr(detprime64, "DEFAULT_SEARCH_CAP", 0)
+    return kernel.load_backend("py")
+
+
+def test_kernel_exhausted_cap_raises(zero_cap_impl):
     # both backends raise the pure path's class, which the CLI reports as a
     # RuntimeError (exit 2)
-    for cap in (0, -1):
+    for entry in ("ge_is_prime", "mrge_is_prime", "first_attempt_is_prime"):
         with pytest.raises(SearchCapExceeded):
-            impl.ge_is_prime(101, cap)
-        with pytest.raises(SearchCapExceeded):
-            impl.mrge_is_prime(101, cap)
-        with pytest.raises(SearchCapExceeded):
-            impl.first_attempt_is_prime(101, cap)
+            getattr(zero_cap_impl, entry)(101)
+    assert zero_cap_impl.mr7_is_prime(101)  # no walk, no cap
+
+
+def test_the_kernels_share_one_search_cap():
+    source = (REPO / "src" / "primekit" / "_kernel64.c").read_text()
+    assert [int(cap) for cap in CAP_DEFINE.findall(source)] == [
+        residues.DEFAULT_SEARCH_CAP]
 
 
 def test_kernel_rejects_non_integers(impl):
     # floats are refused, never truncated (97.9 would otherwise read as 97)
     for call in (
         lambda: impl.ge_is_prime(97.9),
-        lambda: impl.ge_is_prime(101, 2.0),
         lambda: impl.mrge_is_prime(1e3),
         lambda: impl.first_attempt_is_prime(101.0),
         lambda: impl.mr7_is_prime(5.0),
@@ -264,10 +306,13 @@ def test_kernel_rejects_non_integers(impl):
     ):
         with pytest.raises(TypeError):
             call()
+    # none of the three tests that walk the search takes a cap
+    for entry in ("ge_is_prime", "mrge_is_prime", "first_attempt_is_prime"):
+        with pytest.raises(TypeError):
+            getattr(impl, entry)(101, 5)
     # integer-like objects go through __index__
     assert impl.ge_is_prime(np.uint64(97)) is True
     assert impl.mr7_is_prime(np.uint64(97)) is True
-    assert impl.ge_is_prime(101, np.int64(5)) is True
     assert impl.mulmod(np.uint64(U64_MAX), np.uint64(3), 2**61 - 1) == (
         U64_MAX * 3 % (2**61 - 1)
     )
@@ -276,7 +321,9 @@ def test_kernel_rejects_non_integers(impl):
 
 def test_kernel_arguments_are_positional_only(impl):
     with pytest.raises(TypeError):
-        impl.ge_is_prime(101, cap=5)
+        impl.ge_is_prime(n=101)
+    with pytest.raises(TypeError):
+        impl.ge_is_prime(101, 5)
     with pytest.raises(TypeError):
         impl.mr7_is_prime(n=101)
     with pytest.raises(TypeError):

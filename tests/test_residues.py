@@ -264,6 +264,6 @@ def test_reciprocity_verdict_carries_its_own_form():
     assert _trial_division_prime(n)
     late_8k5 = Form(8, 5, 13)
     for form in (FORM_8K5, late_8k5, FORM_8K5):
-        v = reciprocity_checks(n, (form,), 1000)
+        v = reciprocity_checks(n, (form,))
         assert v.is_prime and v.witness == 13
         assert v.stage.form == form and v.stage.form.first_candidate == form.first_candidate

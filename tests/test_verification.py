@@ -147,6 +147,25 @@ def test_random_verify_clean_sample():
     assert random_verify("mrge", 20000, seed=42, jobs=2) == []
 
 
+def test_random_verify_holds_a_bounded_chunk_of_draws(monkeypatch):
+    # every seeded draw is checked once, in order, no more than RANDOM_CHUNK
+    # at a time per job, and a disagreement from any chunk is reported
+    monkeypatch.setattr(verification, "RANDOM_CHUNK", 7)
+    checked = []
+
+    def first_disagrees(algo, ns, limit):
+        assert len(ns) <= 7
+        checked.extend(ns)
+        return ns[:1]
+
+    monkeypatch.setattr(verification, "_disagreements", first_disagrees)
+    records = random_verify("ge", 40, seed=5)
+    rng = random.Random(5)
+    draws = [random_odd_u64(rng) for _ in range(40)]
+    assert checked == draws
+    assert [r.n for r in records] == sorted(draws[::7])
+
+
 def test_search_finds_seven_base_false_positive():
     report = search_counterexamples(
         "mr7", 33077785078626880, 33077785078626882, 1
@@ -332,11 +351,9 @@ def test_rich_tests_validate_input_like_the_kernels(algo):
             want, got = fn(n), fn(np.uint64(n))
             assert (got.is_prime, got.stage.describe()) == (
                 want.is_prime, want.stage.describe()), (algo, n)
-    if kernel.ALGOS[algo].capped:
-        with pytest.raises(TypeError):
-            fn(101, 5.0)
-        for n in (101, 341, 10**18 + 3):
-            assert fn(n, np.int64(50)) == fn(n, 50), (algo, n)
+    # no search cap, and the trace is passed by keyword only
+    with pytest.raises(TypeError):
+        fn(101, 5)
 
 
 def test_corpus_entries_reproduce():
