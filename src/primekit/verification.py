@@ -138,18 +138,57 @@ def _disagreements(algo: str, ns, limit: int | None) -> list[int]:
     return [n for n in ns if fn(n) != truth(n)]
 
 
+# the process's worker pool, and what its workers inherited when they were
+# forked: (jobs, the kernel.ALGORITHMS entries, the limit of _last_sieve)
+_pool: ProcessPoolExecutor | None = None
+_pool_state: tuple | None = None
+
+
+def _drop_pool() -> None:
+    """Shut the worker pool down, cancelling the tasks not yet started."""
+    global _pool, _pool_state
+    pool, _pool, _pool_state = _pool, None, None
+    if pool is not None:
+        pool.shutdown(cancel_futures=True)
+
+
+def _worker_pool(jobs: int, tasks: list[tuple]) -> ProcessPoolExecutor:
+    """The pool of ``jobs`` workers for ``tasks``. It is kept while its
+    workers hold the parent's ``kernel.ALGORITHMS`` entries and, when a task
+    carries a limit, that limit's sieve; otherwise it is replaced by a new
+    pool, whose workers fork on its first task and so share the parent's
+    state."""
+    global _pool, _pool_state
+    sieved = _last_sieve[0] if _last_sieve is not None else None
+    state = (jobs, tuple(kernel.ALGORITHMS.items()), sieved)
+    if _pool is not None:
+        if (_pool_state[:2] == state[:2]
+                and all(task[2] in (None, _pool_state[2]) for task in tasks)):
+            return _pool
+        _drop_pool()
+    _pool, _pool_state = ProcessPoolExecutor(max_workers=jobs), state
+    return _pool
+
+
 def _dispatch(tasks: list[tuple], jobs: int):
     """Run ``(algo, ns, limit)`` tasks through ``_disagreements`` and
     yield (task index, disagreements) as each one finishes: in turn in this
-    process when ``jobs == 1``, else from one pool of ``jobs`` processes."""
+    process when ``jobs == 1``, else in the process's pool of ``jobs``
+    workers, forked on the first such call and reused by later ones (see
+    ``_worker_pool``). An exception or an early exit, a crashed worker
+    included, drops the pool and cancels its pending tasks."""
     if jobs == 1:
         for i, task in enumerate(tasks):
             yield i, _disagreements(*task)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    pool = _worker_pool(jobs, tasks)
+    try:
         futs = {pool.submit(_disagreements, *task): i for i, task in enumerate(tasks)}
         for fut in as_completed(futs):
             yield futs[fut], fut.result()
+    except BaseException:
+        _drop_pool()
+        raise
 
 
 def _records(algo: str, ns, limit: int | None) -> list[MismatchRecord]:
@@ -174,8 +213,9 @@ def exhaustive_verify(algo: str, limit: int, jobs: int = 1) -> list[MismatchReco
         raise ValueError(f"limit must be >= 0, not {limit}")
     if limit < 2:
         return []
-    # n = 2 is checked here, which also builds the sieve before the workers
-    # fork, so they share it
+    # n = 2 is checked here, which also builds the sieve before the dispatch:
+    # a pool whose workers were forked without this sieve is replaced, so
+    # the workers share the parent's
     bad = _disagreements(algo, (2,), limit)
     tasks = [(algo, range(lo | 1, hi + 1, 2), limit)
              for lo, hi in _split_range(3, limit, jobs * 4)]

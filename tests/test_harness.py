@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import primekit
-from primekit import harness, kernel
+from primekit import harness, kernel, verification
 from primekit.harness import (
     BENCH_SETS,
     CSV_HEADER,
@@ -234,6 +234,40 @@ def test_cli_crashed_worker_is_not_a_usage_error(monkeypatch, capsys):
     )
     assert main(["verify", "--algo", "ge", "--limit", "1000", "--jobs", "2"]) == 3
     assert "error: a worker process crashed" in capsys.readouterr().err
+
+
+def _crash_workers_on(monkeypatch, crashes):
+    # workers exit at once on the n that ``crashes`` accepts; the parent runs
+    # the real entry
+    parent, real = os.getpid(), kernel.ALGORITHMS["ge"]
+    monkeypatch.setitem(
+        kernel.ALGORITHMS, "ge",
+        lambda n, *a: real(n, *a) if os.getpid() == parent or not crashes(n)
+        else os._exit(1),
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--algo", "ge", "--random", "2000", "--jobs", "2"],
+    ["search", "--algo", "ge", "--from", "3", "--to", "20001", "--jobs", "2"],
+], ids=["random", "search"])
+def test_cli_crashed_worker_of_a_warm_pool(argv, monkeypatch, capsys):
+    # the pool forked by the first call holds the real entry; a patched entry
+    # must reach new workers rather than the warm pool's
+    assert verification.random_verify("ge", 200, seed=1, jobs=2) == []
+    _crash_workers_on(monkeypatch, lambda n: True)
+    assert main(argv) == 3
+    assert "error: a worker process crashed" in capsys.readouterr().err
+
+
+def test_a_crashed_pool_is_replaced(monkeypatch, capsys):
+    # the entry stays patched, so only dropping the broken pool lets the
+    # next call run
+    _crash_workers_on(monkeypatch, lambda n: n == 341)
+    assert main(["search", "--algo", "ge", "--from", "341", "--to", "341",
+                 "--jobs", "2"]) == 3
+    assert "error: a worker process crashed" in capsys.readouterr().err
+    assert verification.random_verify("ge", 2000, seed=1, jobs=2) == []
 
 
 def test_cli_corpus(capsys):

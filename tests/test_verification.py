@@ -1,8 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +74,75 @@ def test_exhaustive_verify_clean_to_1e6():
 
 def test_exhaustive_verify_parallel_agrees():
     assert exhaustive_verify("ge", 3 * 10**4, jobs=2) == []
+
+
+class _RecordingSieve(PrimeSieve):
+    builders: list[int] = []  # the pid of each build
+
+    def __init__(self, limit):
+        self.builders.append(os.getpid())
+        super().__init__(limit)
+
+
+def _worker_sieve():
+    # run in a pool worker: the limit of its sieve and who built its sieves
+    return verification._last_sieve[0], verification.PrimeSieve.builders
+
+
+def test_pool_workers_share_the_parent_sieve(monkeypatch):
+    monkeypatch.setattr(verification, "PrimeSieve", _RecordingSieve)
+    monkeypatch.setattr(verification, "_last_sieve", None)
+    monkeypatch.setattr(_RecordingSieve, "builders", [])
+    verification._drop_pool()
+    # this pool's workers are forked without a sieve
+    assert random_verify("ge", 1000, seed=3, jobs=2) == []
+    for builds, limit in enumerate((3 * 10**4, 10**4), start=1):
+        assert exhaustive_verify("ge", limit, jobs=2) == exhaustive_verify("ge", limit)
+        # the workers hold the parent's sieve of this limit, and built none
+        parent = [os.getpid()] * builds
+        assert verification._pool.submit(_worker_sieve).result() == (limit, parent)
+        assert _RecordingSieve.builders == parent
+
+
+def test_no_worker_outlives_the_interpreter():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("from primekit import verification\n"
+            "assert verification.random_verify('mrge', 2000, 1, jobs=2) == []\n"
+            "print(*verification._pool._processes)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5
+    for pid in pids:
+        while True:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, f"worker {pid} outlived its parent"
+            time.sleep(0.05)
+
+
+def test_an_early_exit_leaves_no_pending_task(monkeypatch):
+    futures = []
+    submit = ProcessPoolExecutor.submit
+
+    def recorded(pool, *args):
+        futures.append(submit(pool, *args))
+        return futures[-1]
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    tasks = [("ge", range(lo, lo + 4000, 2), None) for lo in range(3, 80003, 4000)]
+    results = verification._dispatch(tasks, 2)
+    assert next(results)[1] == []
+    results.close()
+    assert len(futures) == len(tasks) and all(f.done() for f in futures)
+    assert verification._pool is None
+    assert random_verify("mrge", 1000, seed=4, jobs=2) == []
+    assert exhaustive_verify("ge", 10**4, jobs=2) == []
 
 
 def test_sweeps_keep_only_the_last_sieve(monkeypatch):
