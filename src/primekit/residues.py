@@ -34,19 +34,33 @@ EXHAUSTED = "exhausted"
 _TABLE_LIMIT = 8192
 
 
-def prime_flags(limit: int) -> bytearray:
-    """The package's one sieve: flags[n] == 1 iff n is prime, 0 <= n <= limit.
+def prime_flags(limit: int, start: int = 0) -> bytearray:
+    """The package's one sieve: flags[n - start] == 1 iff n is prime, for
+    start <= n <= limit.
 
     It starts from the odd numbers, so only odd multiples of odd primes are
-    struck, and the largest temporary is a sixth of the table. The zeros
-    are a bytearray: a slice assignment would copy bytes first.
+    struck, and the largest temporary is a sixth of the table. The striking
+    primes up to isqrt(limit) are read from the table itself when start is
+    0, and from a table of their own otherwise, so a segment [start, limit]
+    costs its width plus isqrt(limit) bytes (segmented Eratosthenes, Bays &
+    Hudson 1977). The zeros are a bytearray: a slice assignment would copy
+    bytes first.
     """
-    flags = bytearray(b"\x00\x01") * (limit // 2 + 1)
-    del flags[limit + 1 :]
-    flags[1:3] = b"\x00\x01"[:limit]  # 1 is not prime, 2 is
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if flags[p]:
-            flags[p * p :: 2 * p] = bytearray(len(range(p * p, limit + 1, 2 * p)))
+    if not 0 <= start <= limit:
+        raise ValueError(f"need 0 <= start <= limit, not {start} and {limit}")
+    flags = bytearray(b"\x01\x00" if start & 1 else b"\x00\x01")
+    flags *= (limit - start) // 2 + 1
+    del flags[limit - start + 1 :]
+    for n in range(start, min(limit, 2) + 1):
+        flags[n - start] = n == 2  # 0 and 1 are not prime, 2 is
+    root = math.isqrt(limit)
+    base = flags if start == 0 else prime_flags(root)
+    for p in range(3, root + 1, 2):
+        if base[p]:
+            # the first odd multiple of p from max(p * p, start) on
+            first = max(p * p, -(-start // p) * p)
+            first += p * (first % 2 == 0)
+            flags[first - start :: 2 * p] = bytearray(len(range(first, limit + 1, 2 * p)))
     return flags
 
 

@@ -57,17 +57,21 @@ class MismatchRecord:
 SIEVE_MEMORY_LIMIT_BYTES = 2**31
 
 
+def _check_sieve_limit(limit: int) -> None:
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, not {limit}")
+    if limit + 1 > SIEVE_MEMORY_LIMIT_BYTES:
+        raise ValueError(
+            f"sieve of limit {limit} exceeds the memory budget "
+            f"({SIEVE_MEMORY_LIMIT_BYTES} bytes)"
+        )
+
+
 class PrimeSieve:
     """Eratosthenes primality bitmap for all n <= limit."""
 
     def __init__(self, limit: int):
-        if limit < 0:
-            raise ValueError("limit must be >= 0")
-        if limit + 1 > SIEVE_MEMORY_LIMIT_BYTES:
-            raise ValueError(
-                f"sieve of limit {limit} exceeds the memory budget "
-                f"({SIEVE_MEMORY_LIMIT_BYTES} bytes)"
-            )
+        _check_sieve_limit(limit)
         self.limit = limit
         self._flags = prime_flags(limit)
 
@@ -108,38 +112,21 @@ def _check_refereed_sweep(algo: str, jobs: int) -> None:
         )
 
 
-_last_sieve: tuple[int, bytearray] | None = None  # (limit, flags)
-
-
-def _sieve_flags(limit: int) -> bytearray:
-    """The flags of the last limit sieved in this process; a sweep at a new
-    limit drops the old table before it builds the next. The flags
-    themselves: a bytes copy would double the peak memory."""
-    global _last_sieve
-    if _last_sieve is None or _last_sieve[0] != limit:
-        _last_sieve = None  # dropped before the next one is built
-        _last_sieve = (limit, PrimeSieve(limit)._flags)
-    return _last_sieve[1]
-
-
-def _ground_truth(limit: int | None):
-    """n -> 1/True when n is prime: the sieve of ``limit`` when one is given,
-    else the referee."""
-    if limit is None:
-        return kernel.ALGORITHMS[REFEREE]
-    return _sieve_flags(limit).__getitem__
-
-
-def _disagreements(algo: str, ns, limit: int | None) -> list[int]:
+def _disagreements(algo: str, ns, sieved: bool) -> list[int]:
     """Worker: the n in ``ns`` where the kernel verdict differs from the
-    ground truth of ``limit``."""
+    ground truth: when ``sieved``, a sieve of ns's own range [ns[0], ns[-1]]
+    built here (an empty ns needs none), else the referee."""
     fn = kernel.ALGORITHMS[algo]
-    truth = _ground_truth(limit)
+    if sieved and ns:
+        start = ns[0]
+        flags = prime_flags(ns[-1], start)
+        return [n for n in ns if fn(n) != flags[n - start]]
+    truth = kernel.ALGORITHMS[REFEREE]
     return [n for n in ns if fn(n) != truth(n)]
 
 
 # the process's worker pool, and what its workers inherited when they were
-# forked: (jobs, the kernel.ALGORITHMS entries, the limit of _last_sieve)
+# forked: (jobs, the kernel.ALGORITHMS entries)
 _pool: ProcessPoolExecutor | None = None
 _pool_state: tuple | None = None
 
@@ -152,36 +139,33 @@ def _drop_pool() -> None:
         pool.shutdown(cancel_futures=True)
 
 
-def _worker_pool(jobs: int, tasks: list[tuple]) -> ProcessPoolExecutor:
-    """The pool of ``jobs`` workers for ``tasks``. It is kept while its
-    workers hold the parent's ``kernel.ALGORITHMS`` entries and, when a task
-    carries a limit, that limit's sieve; otherwise it is replaced by a new
-    pool, whose workers fork on its first task and so share the parent's
-    state."""
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """The pool of ``jobs`` workers. It is kept while its workers hold the
+    parent's ``kernel.ALGORITHMS`` entries; otherwise it is replaced by a
+    new pool, whose workers fork on its first task and so inherit the
+    parent's entries. The workers hold no sieve: each task builds its own."""
     global _pool, _pool_state
-    sieved = _last_sieve[0] if _last_sieve is not None else None
-    state = (jobs, tuple(kernel.ALGORITHMS.items()), sieved)
-    if _pool is not None:
-        if (_pool_state[:2] == state[:2]
-                and all(task[2] in (None, _pool_state[2]) for task in tasks)):
-            return _pool
+    state = (jobs, tuple(kernel.ALGORITHMS.items()))
+    if _pool is None or _pool_state != state:
         _drop_pool()
-    _pool, _pool_state = ProcessPoolExecutor(max_workers=jobs), state
+        _pool, _pool_state = ProcessPoolExecutor(max_workers=jobs), state
     return _pool
 
 
 def _dispatch(tasks: list[tuple], jobs: int):
-    """Run ``(algo, ns, limit)`` tasks through ``_disagreements`` and
+    """Run ``(algo, ns, sieved)`` tasks through ``_disagreements`` and
     yield (task index, disagreements) as each one finishes: in turn in this
     process when ``jobs == 1``, else in the process's pool of ``jobs``
     workers, forked on the first such call and reused by later ones (see
-    ``_worker_pool``). An exception or an early exit, a crashed worker
-    included, drops the pool and cancels its pending tasks."""
+    ``_worker_pool``). A sieved task sieves its own range wherever it runs,
+    so no table is built here for the workers to share. An exception or an
+    early exit, a crashed worker included, drops the pool and cancels its
+    pending tasks."""
     if jobs == 1:
         for i, task in enumerate(tasks):
             yield i, _disagreements(*task)
         return
-    pool = _worker_pool(jobs, tasks)
+    pool = _worker_pool(jobs)
     try:
         futs = {pool.submit(_disagreements, *task): i for i, task in enumerate(tasks)}
         for fut in as_completed(futs):
@@ -191,12 +175,14 @@ def _dispatch(tasks: list[tuple], jobs: int):
         raise
 
 
-def _records(algo: str, ns, limit: int | None) -> list[MismatchRecord]:
-    truth = _ground_truth(limit)
+def _records(algo: str, ns) -> list[MismatchRecord]:
+    # each n disagrees with its ground truth, so the truth is the opposite
+    # of the kernel's verdict
+    fn = kernel.ALGORITHMS[algo]
     rich = RICH_ALGORITHMS[algo]
     labels = ("composite", "prime")
     return [
-        MismatchRecord(n, algo, labels[bool(truth(n))], labels[not truth(n)],
+        MismatchRecord(n, algo, labels[not fn(n)], labels[bool(fn(n))],
                        rich(n).stage.describe())
         for n in sorted(set(ns))
     ]
@@ -207,21 +193,20 @@ def _records(algo: str, ns, limit: int | None) -> list[MismatchRecord]:
 
 def exhaustive_verify(algo: str, limit: int, jobs: int = 1) -> list[MismatchRecord]:
     """Run ``algo`` on n = 2 and every odd n in [3, limit]; compare each
-    verdict with the sieve. Returns all mismatches (expected: none)."""
+    verdict with the sieve. The odd n are split into ``jobs * 4`` tasks,
+    each of which sieves only its own range of about limit / (4 * jobs)
+    values, so no table outlives the sweep. Returns all mismatches
+    (expected: none)."""
     _check_sweep(algo, jobs)
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, not {limit}")
+    _check_sieve_limit(limit)
     if limit < 2:
         return []
-    # n = 2 is checked here, which also builds the sieve before the dispatch:
-    # a pool whose workers were forked without this sieve is replaced, so
-    # the workers share the parent's
-    bad = _disagreements(algo, (2,), limit)
-    tasks = [(algo, range(lo | 1, hi + 1, 2), limit)
+    bad = _disagreements(algo, (2,), True)
+    tasks = [(algo, range(lo | 1, hi + 1, 2), True)
              for lo, hi in _split_range(3, limit, jobs * 4)]
     for _, part in _dispatch(tasks, jobs):
         bad.extend(part)
-    return _records(algo, bad, limit)
+    return _records(algo, bad)
 
 
 # --- random sampling against the referee ------------------------------------
@@ -253,11 +238,11 @@ def random_verify(
     for done in range(0, count, batch):
         size = min(batch, count - done)
         step = -(-size // jobs)
-        tasks = [(algo, [random_odd_u64(rng) for _ in range(min(step, size - i))], None)
+        tasks = [(algo, [random_odd_u64(rng) for _ in range(min(step, size - i))], False)
                  for i in range(0, size, step)]
         for _, part in _dispatch(tasks, jobs):
             bad.extend(part)
-    return _records(algo, bad, None)
+    return _records(algo, bad)
 
 
 # --- sharded counterexample search with checkpointing -----------------------
@@ -373,7 +358,7 @@ def search_counterexamples(
     if stop_after_shards is not None:
         pending = pending[:stop_after_shards]
 
-    tasks = [(algo, range(lo | 1, hi + 1, 2), None) for lo, hi in pending]
+    tasks = [(algo, range(lo | 1, hi + 1, 2), False) for lo, hi in pending]
     bad_ns: list[int] = []
     checked = 0
     for i, part in _dispatch(tasks, jobs):
@@ -382,7 +367,7 @@ def search_counterexamples(
         if checkpoint_path:
             _append_checkpoint(checkpoint_path, *pending[i], algo, run_cap)
     return SearchReport(
-        mismatches=_records(algo, bad_ns, None),
+        mismatches=_records(algo, bad_ns),
         shards_total=len(shards),
         shards_skipped=len(done),
         shards_run=len(pending),

@@ -63,18 +63,32 @@ def _reference_flags(limit):
 def test_prime_flags_match_the_sieve_of_every_multiple(sieve_bytes):
     for limit in range(2001):
         assert prime_flags(limit) == _reference_flags(limit), limit
+    # segments: every window up to 300, and seeded windows below 10^6
+    for limit in range(301):
+        reference = _reference_flags(limit)
+        for start in range(limit + 1):
+            assert prime_flags(limit, start) == reference[start:], (start, limit)
+    reference = _reference_flags(10**6 - 1)
+    rng = random.Random(20)
+    for _ in range(2000):
+        start, limit = sorted(rng.randrange(10**6) for _ in range(2))
+        assert prime_flags(limit, start) == reference[start : limit + 1], (start, limit)
+    for start, limit in ((-1, 5), (6, 5)):
+        with pytest.raises(ValueError, match="need 0 <= start <= limit"):
+            prime_flags(limit, start)
     assert sieve_bytes(10**7).count(1) == 664579
 
 
 def test_prime_flags_peak_stays_near_the_table():
-    limit = 3 * 10**6
-    tracemalloc.start()
-    try:
-        prime_flags(limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * limit
+    # the table from 0, and a segment far from 0
+    for start, limit in ((0, 3 * 10**6), (10**9, 10**9 + 10**6 - 1)):
+        tracemalloc.start()
+        try:
+            prime_flags(limit, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (limit - start + 1), start
 
 
 def test_form_rendering_and_candidates():

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from primekit import kernel, verification
-from primekit.residues import is_small_prime
+from primekit.harness import main
+from primekit.residues import is_small_prime, prime_flags
 from primekit.verification import (
     CORPUS,
     CheckpointError,
@@ -76,32 +77,22 @@ def test_exhaustive_verify_parallel_agrees():
     assert exhaustive_verify("ge", 3 * 10**4, jobs=2) == []
 
 
-class _RecordingSieve(PrimeSieve):
-    builders: list[int] = []  # the pid of each build
+def test_each_task_sieves_only_its_own_range(monkeypatch):
+    # jobs=1 splits [3, 3*10^4] into 4 tasks and jobs=2 into 8; a full table
+    # is wider than any of them
+    widest = 3 * 10**4 // 4 + 1
 
-    def __init__(self, limit):
-        self.builders.append(os.getpid())
-        super().__init__(limit)
+    def segment_only(limit, start=0):
+        if limit - start > widest:
+            raise AssertionError(f"sieved [{start}, {limit}], wider than a task")
+        return prime_flags(limit, start)
 
-
-def _worker_sieve():
-    # run in a pool worker: the limit of its sieve and who built its sieves
-    return verification._last_sieve[0], verification.PrimeSieve.builders
-
-
-def test_pool_workers_share_the_parent_sieve(monkeypatch):
-    monkeypatch.setattr(verification, "PrimeSieve", _RecordingSieve)
-    monkeypatch.setattr(verification, "_last_sieve", None)
-    monkeypatch.setattr(_RecordingSieve, "builders", [])
     verification._drop_pool()
-    # this pool's workers are forked without a sieve
+    monkeypatch.setattr(verification, "prime_flags", segment_only)
+    # the workers fork here, with the patch
     assert random_verify("ge", 1000, seed=3, jobs=2) == []
-    for builds, limit in enumerate((3 * 10**4, 10**4), start=1):
+    for limit in (3 * 10**4, 10**4):
         assert exhaustive_verify("ge", limit, jobs=2) == exhaustive_verify("ge", limit)
-        # the workers hold the parent's sieve of this limit, and built none
-        parent = [os.getpid()] * builds
-        assert verification._pool.submit(_worker_sieve).result() == (limit, parent)
-        assert _RecordingSieve.builders == parent
 
 
 def test_no_worker_outlives_the_interpreter():
@@ -145,46 +136,39 @@ def test_an_early_exit_leaves_no_pending_task(monkeypatch):
     assert exhaustive_verify("ge", 10**4, jobs=2) == []
 
 
-def test_sweeps_keep_only_the_last_sieve(monkeypatch):
-    built = []
-
-    class CountingSieve(PrimeSieve):
-        def __init__(self, limit):
-            built.append(limit)
-            super().__init__(limit)
-
-    monkeypatch.setattr(verification, "PrimeSieve", CountingSieve)
-    monkeypatch.setattr(verification, "_last_sieve", None)
-    limits = (10**5, 2 * 10**5, 3 * 10**5)
-    for limit in limits:
-        assert exhaustive_verify("ge", limit) == []
-    assert built == list(limits)
-    # one table is held, the last limit's, and asking again builds nothing
-    assert verification._last_sieve[0] == limits[-1]
-    assert len(verification._sieve_flags(limits[-1])) == limits[-1] + 1
-    assert built == list(limits)
-    # an earlier one was dropped: asking again builds it anew
-    verification._sieve_flags(limits[0])
-    assert built == [*limits, limits[0]]
-
-
-def _sieve_peak_bytes(earlier, limit):
-    # traced peak while the ground-truth sieve of limit is built right after
-    # that of earlier; tracing starts first, so dropping earlier's table counts
+def test_an_exhaustive_sweep_holds_no_table_after_it_returns(monkeypatch, sieve_bytes):
+    limit = 3 * 10**6
+    table = sieve_bytes(limit)  # built before tracing starts
+    monkeypatch.setitem(kernel.ALGORITHMS, "ge", lambda n: table[n] == 1)
     tracemalloc.start()
     try:
-        verification._sieve_flags(earlier)
-        tracemalloc.reset_peak()
-        verification._sieve_flags(limit)
-        return tracemalloc.get_traced_memory()[1]
+        assert exhaustive_verify("ge", limit) == []
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # a task's segment is a quarter of the 3 MB table
+    assert peak < 1.5 * 10**6
+    assert held < 0.1 * 10**6
 
 
-def test_the_old_sieve_is_dropped_before_the_next_is_built():
-    alone = _sieve_peak_bytes(1, 3 * 10**6)
-    # holding the 2*10^6 table meanwhile would add 2 MB to the peak
-    assert _sieve_peak_bytes(2 * 10**6, 3 * 10**6) < alone + 10**6
+def test_large_limits_share_the_sieve_memory_budget():
+    with pytest.raises(ValueError, match="exceeds the memory budget"):
+        exhaustive_verify("ge", 2**31)
+    assert main(["verify", "--algo", "ge", "--limit", str(2**31)]) == 2
+
+
+def test_sweeps_under_forkserver():
+    # forkserver workers import the package afresh and inherit nothing
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import multiprocessing\n"
+            "multiprocessing.set_start_method('forkserver')\n"
+            "from primekit import verification\n"
+            "assert verification.exhaustive_verify('ge', 3 * 10**4, jobs=2) == []\n"
+            "assert verification.random_verify('mrge', 2000, 1, jobs=2) == []\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_search_clean_range():
@@ -475,7 +459,15 @@ def test_oracle_kernel_matches_sieve_to_1e7(sieve_bytes):
 
 
 def test_the_referee_is_bpsw_and_never_referees_itself():
-    assert verification._ground_truth(None) is kernel.ALGORITHMS["bpsw"]
+    # against a negated referee every draw and every odd n disagree
+    with pytest.MonkeyPatch.context() as mp:
+        bpsw = kernel.ALGORITHMS["bpsw"]
+        mp.setitem(kernel.ALGORITHMS, "bpsw", lambda n: not bpsw(n))
+        rng = random.Random(1)
+        draws = sorted(random_odd_u64(rng) for _ in range(50))
+        assert [r.n for r in random_verify("ge", 50, seed=1)] == draws
+        report = search_counterexamples("ge", 3, 99, 1)
+        assert [r.n for r in report.mismatches] == list(range(3, 100, 2))
     with pytest.raises(ValueError, match="'bpsw' is the referee"):
         random_verify("bpsw", 10, seed=1)
     with pytest.raises(ValueError, match="'bpsw' is the referee"):
