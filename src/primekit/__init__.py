@@ -37,7 +37,6 @@ from .sprp import (
     bpsw,
     decompose,
     mr_with_schedule,
-    reference_oracle64,
     seven_base_variant,
     sprp_round,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "powmod",
     "recipe256",
     "recipe2048",
-    "reference_oracle64",
     "seven_base_variant",
     "smallest_nonresidue_prime",
     "sprp_round",

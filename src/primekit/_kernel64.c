@@ -1,10 +1,13 @@
 /* Compiled 64-bit kernel: the hot paths of every test.
  *
- * Same functions as primekit._pykernel. The reference semantics are the
- * rich tests in primekit.detprime64 and primekit.sprp, and the verdicts
- * are tested against them. Products and square comparisons go through
- * 128-bit intermediates so the full uint64 range is safe. Stage-carrying
- * logic stays in the Python layer; these return bools.
+ * Same functions as primekit._pykernel: the paper's two tests (ge, mrge),
+ * its rejected first design (first_attempt), the seven-base variant (mr7),
+ * and Baillie-PSW (bpsw), the exact reference the others are checked
+ * against, which shares no strong-round code with them. The reference
+ * semantics are the rich tests in primekit.detprime64 and primekit.sprp,
+ * and the verdicts are tested against them. Products and square
+ * comparisons go through 128-bit intermediates so the full uint64 range is
+ * safe. Stage-carrying logic stays in the Python layer; these return bools.
  * Entry points take positional arguments only.
  */
 
@@ -74,11 +77,11 @@ static inline int is_small_prime(uint64_t p)
 }
 
 /* Smallest prime p = first + k*step with (n/p) = -1, checked by Euler's
-   criterion, then the reciprocity check p^((n-1)/2) == want (mod n).
-   A candidate dividing n ends the search: PRIME when it is n itself,
-   COMPOSITE otherwise. CAP_EXCEEDED after DEFAULT_SEARCH_CAP candidates
-   without a decision. */
-static int reciprocity(uint64_t n, uint64_t first, uint64_t step, uint64_t want)
+   criterion, then the reciprocity check p^((n-1)/2) == (p/n) (mod n), where
+   (p/n) = +1 only when p and n are both 4k+3. A candidate dividing n ends
+   the search: PRIME when it is n itself, COMPOSITE otherwise. CAP_EXCEEDED
+   after DEFAULT_SEARCH_CAP candidates without a decision. */
+static int reciprocity(uint64_t n, uint64_t first, uint64_t step)
 {
     uint64_t c = first, v;
     int seen;
@@ -87,7 +90,8 @@ static int reciprocity(uint64_t n, uint64_t first, uint64_t step, uint64_t want)
             continue;
         v = powmod64(n % c, (c - 1) >> 1, c);
         if (v == c - 1)
-            return powmod64(c, (n - 1) >> 1, n) == want ? PASSED : COMPOSITE;
+            return powmod64(c, (n - 1) >> 1, n) == ((c & n & 3) == 3 ? 1 : n - 1)
+                       ? PASSED : COMPOSITE;
         if (v == 0)
             return c == n ? PRIME : COMPOSITE;
     }
@@ -139,10 +143,10 @@ static int ge(uint64_t n)
         if (q != 1 && q != n - 1)
             return COMPOSITE;
     }
-    /* smallest 8k+5 then 8k+1 prime p with (n/p) = -1; each must give n-1 */
-    if ((r = reciprocity(n, 5, 8, n - 1)) != PASSED)
+    /* smallest 8k+5 then 8k+1 prime p with (n/p) = -1 */
+    if ((r = reciprocity(n, 5, 8)) != PASSED)
         return r;
-    if ((r = reciprocity(n, 17, 8, n - 1)) != PASSED)
+    if ((r = reciprocity(n, 17, 8)) != PASSED)
         return r;
     return PRIME;
 }
@@ -164,7 +168,7 @@ static int mrge(uint64_t n)
     const uint64_t bases[5] = {2, m - 1, m + 1, h - 1, h + 1};
     if (!strong_rounds(n, bases, 5))
         return COMPOSITE;
-    r = reciprocity(n, 3, 4, n % 4 == 1 ? n - 1 : 1);
+    r = reciprocity(n, 3, 4);
     return r == PASSED ? PRIME : r;
 }
 
@@ -183,7 +187,7 @@ static int first_attempt(uint64_t n)
     const uint64_t bases[5] = {2, m, m + 1, h, h + 1};
     if (!strong_rounds(n, bases, 5))
         return COMPOSITE;
-    r = reciprocity(n, 5, 4, n - 1);
+    r = reciprocity(n, 5, 4);
     return r == PASSED ? PRIME : r;
 }
 
@@ -202,21 +206,12 @@ static int mr7(uint64_t n)
     return strong_rounds(n, bases, 7);
 }
 
-static const uint64_t ORACLE_BASES[12] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
-
-static int oracle(uint64_t n)
-{
-    int i;
-    if (n < 2)
-        return 0;
-    for (i = 0; i < 12; i++)
-        if (n % ORACLE_BASES[i] == 0)
-            return n == ORACLE_BASES[i];
-    return strong_rounds(n, ORACLE_BASES, 12);
-}
-
 /* --- Baillie-PSW: its own base-2 round and Lucas ladder, apart from
    strong_rounds, so that it can referee the tests above ------------------- */
+
+/* every prime below 41, so that n < 41^2 with none of them as a factor is
+   prime */
+static const uint64_t TRIAL_PRIMES[12] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
 
 static inline uint64_t addmod64(uint64_t a, uint64_t b, uint64_t m)
 {
@@ -328,8 +323,8 @@ static int bpsw(uint64_t n)
     if (n < 2)
         return 0;
     for (i = 0; i < 12; i++)
-        if (n % ORACLE_BASES[i] == 0)
-            return n == ORACLE_BASES[i];
+        if (n % TRIAL_PRIMES[i] == 0)
+            return n == TRIAL_PRIMES[i];
     if (n < 41 * 41)
         return 1;
     if (!base2_strong(n))
@@ -466,12 +461,6 @@ static PyObject *py_mr7_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
     return as_u64(arg, &n) ? NULL : PyBool_FromLong(mr7(n));
 }
 
-static PyObject *py_oracle_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
-{
-    uint64_t n;
-    return as_u64(arg, &n) ? NULL : PyBool_FromLong(oracle(n));
-}
-
 static PyObject *py_bpsw_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
 {
     uint64_t n;
@@ -498,8 +487,6 @@ static PyMethodDef methods[] = {
      "The rejected first design of MR-GE."},
     {"mr7_is_prime", py_mr7_is_prime, METH_O,
      "mr7_is_prime($module, n, /)\n--\n\nThe seven-base strong-round variant."},
-    {"oracle_is_prime", py_oracle_is_prime, METH_O,
-     "oracle_is_prime($module, n, /)\n--\n\nThe twelve-base reference oracle."},
     {"bpsw_is_prime", py_bpsw_is_prime, METH_O,
      "bpsw_is_prime($module, n, /)\n--\n\nThe Baillie-PSW test."},
     {NULL, NULL, 0, NULL},

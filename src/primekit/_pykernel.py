@@ -12,7 +12,7 @@ import math
 from . import modarith
 from .detprime64 import gauss_euler, mr_ge, mr_ge_first_attempt
 from .modarith import require_u64
-from .sprp import bpsw, reference_oracle64, seven_base_variant
+from .sprp import bpsw, seven_base_variant
 
 BACKEND_NAME = "python"
 
@@ -43,10 +43,6 @@ def first_attempt_is_prime(n, /):
 
 def mr7_is_prime(n, /):
     return seven_base_variant(n).is_prime
-
-
-def oracle_is_prime(n, /):
-    return reference_oracle64(n).is_prime
 
 
 def bpsw_is_prime(n, /):

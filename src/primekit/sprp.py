@@ -124,12 +124,6 @@ SEVEN_BASE_SCHEDULE: tuple[BaseSpec, ...] = (
     SqrtDerived(2, 1),
 )
 
-# Deterministic below 2^64 per prior literature on fixed Miller-Rabin base
-# sets; external knowledge, independent of the tests under study here.
-ORACLE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_ORACLE_DIVISORS = {p: Verdict(False, Stage.divisor_found(p), p) for p in ORACLE_BASES}
-_ORACLE_PRIME = Verdict(True, Stage.mr_round(ORACLE_BASES[-1]))
-
 
 def small_screen(n: int, prime_below: int, factor_below: int) -> Verdict | None:
     """The opening screen of every test; None sends n on to its stages.
@@ -283,31 +277,11 @@ def seven_base_variant(n: int, *, trace: list[TraceStep] | None = None) -> Verdi
     return _scheduled(n, SEVEN_BASE_SCHEDULE, trace) if v is None else v
 
 
-def _trial_division(n: int) -> Verdict | None:
-    # the verdict of n < 2 and of n with a prime factor <= 37; None otherwise
-    if n < 2:
-        return _UNIT
-    for p in ORACLE_BASES:
-        if n % p == 0:
-            if n == p:
-                return Verdict(True, _SMALL_PRIME_SCREEN, p)
-            return _ORACLE_DIVISORS[p]
-    return None
-
-
-def reference_oracle64(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
-    """Exact primality verdict for any n < 2^64, via the fixed twelve-prime
-    base set. An algorithm checked against ``bpsw``, which it shares no
-    strong-round code with."""
-    n = require_u64(n)
-    v = _trial_division(n)
-    if v is None:
-        v = strong_rounds(n, ORACLE_BASES, trace)
-    return _ORACLE_PRIME if v is None else v
-
-
 # --- Baillie-PSW: the referee of the random and search sweeps ----------------
 
+# every prime below 41, so that n < 41^2 with none of them as a factor is prime
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_DIVISORS = {p: Verdict(False, Stage.divisor_found(p), p) for p in _TRIAL_PRIMES}
 _STRONG_LUCAS = Stage.strong_lucas()
 _BPSW_PRIME = Verdict(True, _STRONG_LUCAS)
 # no prime factor <= 37 and n < 41^2 proves n prime
@@ -358,6 +332,23 @@ def bpsw(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     if trace is not None:
         trace.append(TraceStep(_STRONG_LUCAS, d, ok))
     return _BPSW_PRIME if ok else Verdict(False, _STRONG_LUCAS, d)
+
+
+# kept for the benchmark's workloads, which take their expected outputs from
+# it (perfbench/workloads.py); bpsw is exact below 2^64
+reference_oracle64 = bpsw
+
+
+def _trial_division(n: int) -> Verdict | None:
+    # the verdict of n < 2 and of n with a prime factor <= 37; None otherwise
+    if n < 2:
+        return _UNIT
+    for p in _TRIAL_PRIMES:
+        if n % p == 0:
+            if n == p:
+                return Verdict(True, _SMALL_PRIME_SCREEN, p)
+            return _TRIAL_DIVISORS[p]
+    return None
 
 
 def _divisor(p: int, trace: list | None) -> Verdict:

@@ -2,9 +2,8 @@
 
 Ground truth comes from a sieve (the exhaustive sweep) or from the
 Baillie-PSW test ``bpsw`` (the random and search sweeps), which runs none
-of the strong-round code of the tests it referees; the twelve-base oracle
-is one of the algorithms checked. No algorithm is its own referee: the
-random and search sweeps refuse ``bpsw``. Mismatches are emitted as JSON
+of the strong-round code of the tests it referees. No algorithm is its own
+referee: the random and search sweeps refuse ``bpsw``. Mismatches are emitted as JSON
 lines with fields {"n", "algo", "expected", "actual", "stage"}, n as a
 decimal string.
 """
@@ -391,7 +390,6 @@ def _expect(mr7=False, first=False):
     # every corpus entry is composite; only the documented false positives
     # report prime on their weak algorithm
     return {
-        "oracle": False,
         "bpsw": False,
         "ge": False,
         "mrge": False,

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report inline.
 """
 
+import math
 import os
 import random
 
@@ -17,9 +18,10 @@ from primekit.residues import (
     legendre,
     smallest_nonresidue_prime,
 )
-from primekit.sprp import reference_oracle64, seven_base_variant
+from primekit.sprp import bpsw, seven_base_variant
 from primekit.verdicts import MOD8_EULER, RECIPROCITY, SQRT_BASE
 from primekit.verification import (
+    CORPUS,
     PrimeSieve,
     exhaustive_verify,
     random_base_sprp,
@@ -96,24 +98,27 @@ def test_criterion_2_corpus_reproduction():
 
 
 def test_criterion_3_documented_false_positives():
-    fp7 = seven_base_variant(33077785078626881)
-    oracle7 = reference_oracle64(33077785078626881)
-    n = 17364052083370132981
-    fp1 = mr_ge_first_attempt(n)
-    fixed = mr_ge(n)
-    oracle1 = reference_oracle64(n)
+    n7, n1 = 33077785078626881, 17364052083370132981
+    factors = {entry.n: entry.factors for entry in CORPUS if entry.n in (n7, n1)}
+    # each is composite by its stored factorization, not by a test alone
+    factored = all(
+        n in factors and math.prod(factors[n]) == n and min(factors[n]) > 1
+        for n in (n7, n1)
+    )
     ok = (
-        fp7.is_prime
-        and not oracle7.is_prime
-        and fp1.is_prime
-        and not fixed.is_prime
-        and not oracle1.is_prime
+        factored
+        and seven_base_variant(n7).is_prime
+        and not bpsw(n7).is_prime
+        and mr_ge_first_attempt(n1).is_prime
+        and not mr_ge(n1).is_prime
+        and not bpsw(n1).is_prime
     )
     _report(
         3,
         ok,
         "seven-base passes 33077785078626881 and first-attempt passes "
-        "17364052083370132981 while the oracle and mr_ge reject them",
+        "17364052083370132981 while bpsw and mr_ge reject them, and their "
+        "stored factors multiply back",
     )
 
 

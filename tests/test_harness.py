@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ PUBLIC_NAMES = {
     "SearchCapExceeded", "SearchResult", "Stage", "TraceStep", "Verdict",
     "bpsw", "decompose", "gauss_euler", "is_small_prime", "isqrt", "legendre",
     "mr_ge", "mr_ge_first_attempt", "mr_with_schedule", "mulmod", "powmod",
-    "recipe256", "recipe2048", "reference_oracle64", "seven_base_variant",
+    "recipe256", "recipe2048", "seven_base_variant",
     "smallest_nonresidue_prime", "sprp_round",
 }
 
@@ -35,6 +36,18 @@ def test_the_package_exports_exactly_its_public_names():
     assert len(primekit.__all__) == len(PUBLIC_NAMES)
     for name in primekit.__all__:
         assert getattr(primekit, name) is not None, name
+
+
+def test_the_benchmark_finds_every_name_it_reads(monkeypatch):
+    # perfbench takes expected outputs from sprp.reference_oracle64 and traces
+    # each (module, attribute) of TRACED; deleting one breaks its set-up or
+    # its --trace runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    importlib.import_module("perfbench.workloads")
+    for _, module, attr in importlib.import_module("perfbench.tracing").TRACED:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    # a function of its own: tracing it must not wrap the referee's entry
+    assert kernel.oracle_is_prime is not kernel.ALGORITHMS["bpsw"]
 
 
 def test_set1_shape():
@@ -81,7 +94,7 @@ def test_run_bench_counts_verdicts():
 
 def test_run_bench_validates_arguments():
     with pytest.raises(ValueError):
-        run_bench(1, "oracle")
+        run_bench(1, "first")
     with pytest.raises(ValueError):
         run_bench(1, "ge", reps=0)
 
@@ -121,7 +134,7 @@ def test_cli_test_prime(capsys):
 
 
 def test_cli_test_all_algos(capsys):
-    for algo in ("ge", "mrge", "mr7", "first", "oracle", "bpsw"):
+    for algo in ("ge", "mrge", "mr7", "first", "bpsw"):
         assert main(["test", "97", "--algo", algo]) == 0
         assert capsys.readouterr().out.strip() == "prime"
 

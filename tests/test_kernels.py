@@ -31,7 +31,7 @@ from primekit.detprime64 import (
     mr_ge_first_attempt,
 )
 from primekit.modarith import U64_MAX
-from primekit.sprp import bpsw, reference_oracle64, seven_base_variant
+from primekit.sprp import bpsw, seven_base_variant
 
 REPO = Path(__file__).resolve().parents[1]
 CC = (sysconfig.get_config_var("CC") or "cc").split()[0]
@@ -47,7 +47,6 @@ RICH = {
     "mrge_is_prime": mr_ge,
     "first_attempt_is_prime": mr_ge_first_attempt,
     "mr7_is_prime": seven_base_variant,
-    "oracle_is_prime": reference_oracle64,
     "bpsw_is_prime": bpsw,
 }
 
@@ -298,7 +297,6 @@ def test_kernel_rejects_non_integers(impl):
         lambda: impl.mrge_is_prime(1e3),
         lambda: impl.first_attempt_is_prime(101.0),
         lambda: impl.mr7_is_prime(5.0),
-        lambda: impl.oracle_is_prime(97.0),
         lambda: impl.bpsw_is_prime(97.0),
         lambda: impl.isqrt64(4.0),
         lambda: impl.mulmod(2.5, 3.7, 5.9),
@@ -361,7 +359,7 @@ def _select_backend(src: Path, backend: str) -> subprocess.CompletedProcess:
 
 @needs_build_tools
 def test_backend_selection_env(kernel_build, tmp_path):
-    assert set(kernel.ALGORITHMS) == {"ge", "mrge", "first", "mr7", "oracle", "bpsw"}
+    assert set(kernel.ALGORITHMS) == {"ge", "mrge", "first", "mr7", "bpsw"}
     for backend, expected in (("py", "python"), ("python", "python"), ("c", "c"),
                               ("auto", "c")):
         proc = _select_backend(kernel_build, backend)

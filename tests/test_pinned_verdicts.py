@@ -2,8 +2,9 @@
 
 Each call is made with and without a trace list, and both must agree. The
 first hash was taken from the stage-logging rich tests that preceded the
-fail-fast ones; any change to what a rich test reports on these inputs
-changes it. The second pins the small-n screens of the wide recipes and of
+fail-fast ones, and retaken without the deleted twelve-base oracle on a
+commit that still held the oracle; any change to what a rich test reports
+on these inputs changes it. The second pins the small-n screens of the wide recipes and of
 ``mr_with_schedule``, which the first reaches only on wide values. The third
 pins ``bpsw`` on the 64-bit inputs of the first.
 """
@@ -15,14 +16,12 @@ from primekit.bigrecipes import recipe256, recipe2048
 from primekit.sprp import SEVEN_BASE_SCHEDULE, Literal, bpsw, mr_with_schedule
 from primekit.verification import CORPUS, RICH_ALGORITHMS
 
-PINNED_SHA256 = "f38ca4bf3913d509a1240d252559eafb41841ddbe440e8d5d5853d88189274d0"
+PINNED_SHA256 = "7b217acfeee6404c0f8e981b6d591a483c44fd1d8e6c4596a11d0fb387cf51a8"
 SMALL_N_SHA256 = "74ac79436d372ca34dde8a7c078bc47660842ec20c7098a642106f0f5a27e7ed"
 BPSW_SHA256 = "c6296f4b1f822ee6b2f7fe75f763e9139f397ac5f69282c7c927946334db24c1"
-# the first hash without the twelve-base oracle, which is to be deleted
-FOUR_ALGO_SHA256 = "7b217acfeee6404c0f8e981b6d591a483c44fd1d8e6c4596a11d0fb387cf51a8"
 
 # the algorithms the first hash pins, by name: bpsw, added later, has its own
-PINNED_ALGOS = ("first", "ge", "mr7", "mrge", "oracle")
+PINNED_ALGOS = ("first", "ge", "mr7", "mrge")
 
 
 def _record(fn, n, digest):
@@ -42,26 +41,18 @@ def _ns64(rng):
     )
 
 
-def _rich_digest(algos) -> str:
+def test_rich_verdicts_match_the_pinned_hash():
     rng = random.Random(20261018)
     ns64 = _ns64(rng)
     digest = hashlib.sha256()
-    for algo in algos:
+    for algo in PINNED_ALGOS:
         for n in ns64:
             _record(RICH_ALGORITHMS[algo], n, digest)
     for _ in range(100):
         _record(recipe256, rng.getrandbits(256) | (1 << 255) | 1, digest)
     for _ in range(10):
         _record(recipe2048, rng.getrandbits(1024) | (1 << 1023) | 1, digest)
-    return digest.hexdigest()
-
-
-def test_rich_verdicts_match_the_pinned_hash():
-    assert _rich_digest(PINNED_ALGOS) == PINNED_SHA256
-
-
-def test_rich_verdicts_without_the_oracle_match_their_pinned_hash():
-    assert _rich_digest(("first", "ge", "mr7", "mrge")) == FOUR_ALGO_SHA256
+    assert digest.hexdigest() == PINNED_SHA256
 
 
 def test_bpsw_verdicts_match_the_pinned_hash():

@@ -10,7 +10,6 @@ from primekit import sprp
 from primekit.modarith import U64_MAX
 from primekit.residues import is_small_prime
 from primekit.sprp import (
-    ORACLE_BASES,
     SEVEN_BASE_SCHEDULE,
     Literal,
     SqrtDerived,
@@ -18,7 +17,6 @@ from primekit.sprp import (
     bpsw,
     decompose,
     mr_with_schedule,
-    reference_oracle64,
     resolve_base,
     seven_base_variant,
     small_screen,
@@ -386,27 +384,14 @@ def test_mr_with_schedule_first_four_primes_vs_sieve(sieve_bytes):
         assert mr_with_schedule(n, schedule).is_prime == (bm[n] == 1), n
 
 
-def test_oracle_examples():
-    assert reference_oracle64(2).is_prime
-    assert not reference_oracle64(6164578258027337).is_prime
-    assert not reference_oracle64(17364052083370132981).is_prime
-
-
-def test_oracle_matches_sieve(sieve_bytes):
-    bm = sieve_bytes(10**5)
-    for n in range(10**5):
-        assert reference_oracle64(n).is_prime == (bm[n] == 1), n
-
-
-def test_oracle_base_set_is_first_twelve_primes():
-    assert ORACLE_BASES == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def test_bpsw_trial_primes_are_the_primes_below_41():
+    # bpsw calls n < 41^2 prime once trial division finds no factor
+    assert sprp._TRIAL_PRIMES == tuple(p for p in range(41) if is_small_prime(p))
 
 
 def test_u64_range_enforced():
     with pytest.raises(OverflowError):
         seven_base_variant(2**64)
-    with pytest.raises(OverflowError):
-        reference_oracle64(2**64)
     with pytest.raises(OverflowError):
         bpsw(2**64)
     with pytest.raises(TypeError):
@@ -421,7 +406,7 @@ def test_bpsw_matches_sieve(sieve_bytes):
 
 def test_bpsw_lucas_rejects_base2_strong_pseudoprimes():
     for n in (8321, 42799, 49141, 65281, 80581):
-        assert all(n % p for p in ORACLE_BASES), n
+        assert all(n % p for p in sprp._TRIAL_PRIMES), n
         assert sprp_round(n, 2), n
         trace = []
         v = bpsw(n, trace=trace)
@@ -441,7 +426,7 @@ def test_bpsw_small_factor_screen_only_refutes_what_base2_fails():
     for lo, hi in ((1681, 2 * 10**5 + 1), (2**40 + 1, 2**40 + 2 * 10**5)):
         refuted[lo] = 0
         for n in range(lo, hi, 2):
-            if all(n % p for p in ORACLE_BASES) and base2_refuted_by_small_factor(n):
+            if all(n % p for p in sprp._TRIAL_PRIMES) and base2_refuted_by_small_factor(n):
                 assert not sprp._base2_strong(n), n
                 assert bpsw(n) == Verdict(False, Stage.mr_round(2), 2), n
                 assert any(n % p == 0 for p in range(41, 1024, 2)), n

@@ -64,12 +64,12 @@ def test_sieve_bounds_and_memory_guard():
 
 
 def test_exhaustive_verify_clean_small():
-    for algo in ("ge", "mrge", "mr7", "first", "oracle"):
+    for algo in ("ge", "mrge", "mr7", "first"):
         assert exhaustive_verify(algo, 10**5) == []
 
 
 def test_exhaustive_verify_clean_to_1e6():
-    for algo in ("ge", "mrge", "mr7", "first", "oracle"):
+    for algo in ("ge", "mrge", "mr7", "first"):
         assert exhaustive_verify(algo, 10**6) == []
 
 
@@ -317,8 +317,7 @@ def test_checkpoint_resume_accounting(tmp_path):
 def test_checkpoint_lines_format(tmp_path):
     # the cap is the one the kernel applies: the default for the tests that
     # search, null for the others
-    for algo, cap in (("ge", 1000), ("mrge", 1000), ("first", 1000),
-                      ("mr7", None), ("oracle", None)):
+    for algo, cap in (("ge", 1000), ("mrge", 1000), ("first", 1000), ("mr7", None)):
         ck = str(tmp_path / f"{algo}.ckpt")
         search_counterexamples(algo, 3, 1001, 2, checkpoint_path=ck)
         lines = open(ck).read().splitlines()
@@ -448,14 +447,13 @@ def test_random_base_sprp():
         assert not random_base_sprp(n, rounds=64, seed=4)
 
 
-def test_oracle_kernel_matches_sieve_to_1e7(sieve_bytes):
+def test_bpsw_kernel_matches_sieve_to_1e7(sieve_bytes):
     bm = sieve_bytes(10**7)
-    for name in ("oracle", "bpsw"):
-        fn = kernel.ALGORITHMS[name]
-        assert fn(2)
-        for n in range(3, 10**7, 2):
-            if fn(n) != (bm[n] == 1):
-                raise AssertionError(f"{name} disagrees with sieve at {n}")
+    fn = kernel.ALGORITHMS["bpsw"]
+    assert fn(2)
+    for n in range(3, 10**7, 2):
+        if fn(n) != (bm[n] == 1):
+            raise AssertionError(f"bpsw disagrees with sieve at {n}")
 
 
 def test_the_referee_is_bpsw_and_never_referees_itself():
@@ -472,6 +470,5 @@ def test_the_referee_is_bpsw_and_never_referees_itself():
         random_verify("bpsw", 10, seed=1)
     with pytest.raises(ValueError, match="'bpsw' is the referee"):
         search_counterexamples("bpsw", 3, 99, 1)
-    # the sieve referees bpsw itself, and the oracle is one of the refereed
+    # the sieve referees bpsw itself
     assert exhaustive_verify("bpsw", 10**5) == []
-    assert random_verify("oracle", 5000, seed=13) == []
