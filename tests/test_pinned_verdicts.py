@@ -18,6 +18,7 @@ from primekit.verification import CORPUS, RICH_ALGORITHMS
 
 PINNED_SHA256 = "7b217acfeee6404c0f8e981b6d591a483c44fd1d8e6c4596a11d0fb387cf51a8"
 SMALL_N_SHA256 = "74ac79436d372ca34dde8a7c078bc47660842ec20c7098a642106f0f5a27e7ed"
+RECIPE_SMALL_N_SHA256 = "37b8e4311bed78556fbd8c83afc65d1af27bccbba0746760b02fc265c3550afd"
 BPSW_SHA256 = "c6296f4b1f822ee6b2f7fe75f763e9139f397ac5f69282c7c927946334db24c1"
 
 # the algorithms the first hash pins, by name: bpsw, added later, has its own
@@ -76,3 +77,11 @@ def test_small_n_verdicts_match_the_pinned_hash():
         for n in range(1000):
             _record(fn, n, digest)
     assert digest.hexdigest() == SMALL_N_SHA256
+
+
+def test_small_n_recipe_verdicts_match_the_pinned_hash():
+    digest = hashlib.sha256()
+    for fn in (recipe256, recipe2048):
+        for n in range(1000):
+            _record(fn, n, digest)
+    assert digest.hexdigest() == RECIPE_SMALL_N_SHA256
