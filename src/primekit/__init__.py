@@ -18,7 +18,7 @@ from .detprime64 import (
     mr_ge_first_attempt,
 )
 from .kernel import BACKEND
-from .modarith import isqrt, mulmod, powmod
+from .modarith import mulmod, powmod
 from .residues import (
     FORM_4K1,
     FORM_4K3,
@@ -32,14 +32,7 @@ from .residues import (
     legendre,
     smallest_nonresidue_prime,
 )
-from .sprp import (
-    Decomposition,
-    bpsw,
-    decompose,
-    mr_with_schedule,
-    seven_base_variant,
-    sprp_round,
-)
+from .sprp import bpsw, seven_base_variant, sprp_round
 from .verdicts import Stage, TraceStep, Verdict
 
 __version__ = "0.1.0"
@@ -52,7 +45,6 @@ __all__ = [
     "FORM_8K3",
     "FORM_8K5",
     "FORM_8K7",
-    "Decomposition",
     "Form",
     "RECIPE_256",
     "RECIPE_2048",
@@ -63,14 +55,11 @@ __all__ = [
     "TraceStep",
     "Verdict",
     "bpsw",
-    "decompose",
     "gauss_euler",
     "is_small_prime",
-    "isqrt",
     "legendre",
     "mr_ge",
     "mr_ge_first_attempt",
-    "mr_with_schedule",
     "mulmod",
     "powmod",
     "recipe256",

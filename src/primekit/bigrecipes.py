@@ -1,15 +1,17 @@
 """Probabilistic recipes for 256-bit and 2048-bit candidates.
 
-Each recipe is a strong-round base schedule followed by quadratic-
-reciprocity checks over one or more residue-class forms, evaluated on
-arbitrary-precision integers. Neither recipe is certified exact at its
-target width; verdicts are "probable prime" at best, and the recipe
-definitions carry a revision number so they can be amended if a
-counterexample ever turns up, without ambiguity about which revision a
-recorded result used.
+Each recipe is strong rounds to base 2 and to a grid of sqrt-derived
+bases, followed by quadratic-reciprocity checks over one or more
+residue-class forms, evaluated on arbitrary-precision integers. Neither
+recipe is certified exact at its target width; verdicts are "probable
+prime" at best, and the recipe definitions carry a revision number so they
+can be amended if a counterexample ever turns up, without ambiguity about
+which revision a recorded result used.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from math import isqrt
 from operator import index
 
 from .detprime64 import reciprocity_checks
@@ -22,19 +24,24 @@ from .residues import (
     FORM_8K7,
     Form,
 )
-from .sprp import BaseSpec, Literal, SqrtDerived, _usable_bases, small_screen
-from .sprp import strong_rounds
+from .sprp import small_screen, strong_rounds
 from .verdicts import TraceStep, Verdict
 
 
 @dataclass(frozen=True)
 class Recipe:
+    """Strong rounds to base 2 and to isqrt(n // i) + j for each divisor i
+    and, within it, each offset j; then one reciprocity check per form."""
+
     name: str
     revision: int
-    mr_bases: tuple[BaseSpec, ...]
+    sqrt_divisors: tuple[int, ...]
+    sqrt_offsets: tuple[int, ...]
     reciprocity_forms: tuple[Form, ...]
 
     def __post_init__(self):
+        if min(self.sqrt_divisors, default=1) < 1:
+            raise ValueError("a sqrt divisor must be >= 1")
         if not self.reciprocity_forms:
             raise ValueError("a recipe needs at least one reciprocity form")
 
@@ -42,9 +49,9 @@ class Recipe:
 RECIPE_256 = Recipe(
     name="recipe256",
     revision=1,
-    # 2 plus isqrt(n//i) + j for i in {1, 2, 3}, j in {-1, 0, +1}
-    mr_bases=(Literal(2),)
-    + tuple(SqrtDerived(i, j) for i in (1, 2, 3) for j in (-1, 0, 1)),
+    # 2 plus isqrt(n//i) + j for i in {1, 2, 3}, j in {-1, 0, +1}: 10 bases
+    sqrt_divisors=(1, 2, 3),
+    sqrt_offsets=(-1, 0, 1),
     reciprocity_forms=(FORM_4K1, FORM_4K3),
 )
 
@@ -52,8 +59,8 @@ RECIPE_2048 = Recipe(
     name="recipe2048",
     revision=1,
     # 2 plus isqrt(n//i) + j for i in {1, 2, 3, 5, 7}, j in {-2..+2}: 26 bases
-    mr_bases=(Literal(2),)
-    + tuple(SqrtDerived(i, j) for i in (1, 2, 3, 5, 7) for j in (-2, -1, 0, 1, 2)),
+    sqrt_divisors=(1, 2, 3, 5, 7),
+    sqrt_offsets=(-2, -1, 0, 1, 2),
     reciprocity_forms=(FORM_8K1, FORM_8K3, FORM_8K5, FORM_8K7),
 )
 
@@ -74,10 +81,23 @@ def run_recipe(
     # odd composites below 100 go on to the rounds
     v = small_screen(n, 100, 0)
     if v is None:
-        v = strong_rounds(n, _usable_bases(n, recipe.mr_bases), trace)
+        v = strong_rounds(n, _bases(n, recipe), trace)
     if v is not None:
         return v
     return reciprocity_checks(n, recipe.reciprocity_forms, trace)
+
+
+def _bases(n: int, recipe: Recipe) -> Iterator[int]:
+    # the recipe's bases for odd n >= 9, resolved one at a time, so that a
+    # composite pays only for the rounds it runs; a base <= 0 or a multiple
+    # of n is skipped, as its round would be vacuous
+    yield 2
+    for i in recipe.sqrt_divisors:
+        r = isqrt(n // i)
+        for j in recipe.sqrt_offsets:
+            base = r + j
+            if base > 0 and base % n:
+                yield base
 
 
 def recipe256(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:

@@ -136,7 +136,8 @@ def reciprocity_checks(
     must give p^((n-1)/2) = (p/n) mod n. Composite at the first failing
     check or at a divisor the search meets; prime when every check passes,
     or when the search reaches n itself and thereby proves it prime. Each
-    search walks at most ``DEFAULT_SEARCH_CAP`` candidates, read at call time.
+    search walks at most ``DEFAULT_SEARCH_CAP`` candidates, a constant bound
+    when this module is imported.
     """
     e = (n - 1) >> 1
     for form in forms:

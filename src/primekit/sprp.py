@@ -1,12 +1,16 @@
-"""Strong-probable-prime rounds with configurable base schedules.
+"""Strong-probable-prime rounds, the opening screen of every test, the
+seven-base variant and the Baillie-PSW referee.
 
 A round follows the squaring-chain form: compute b = a^t mod n for
 n - 1 = 2^s * t with t odd, square s times, and reject n on any nontrivial
-square root of 1 or when the chain does not end at 1. That is equivalent to
-the usual strong-probable-prime condition.
+square root of 1 or when the chain does not end at 1. That is the usual
+strong-probable-prime condition, and the chain may stop at n - 1 (a pass)
+or 1 (a failure). It is written once per role, ``strong_rounds`` for the
+tests and ``sprp_round`` for their referees, so that no one fault can pass
+a composite in a test and in its referee.
 """
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
@@ -60,6 +64,7 @@ def _carmichael_table() -> dict[int, int]:
 _CARMICHAEL = _carmichael_table()
 
 
+# kept for the benchmark's tracer, which wraps it by name (perfbench/tracing.py)
 @dataclass(frozen=True)
 class Decomposition:
     """n - 1 = 2^s * t with t odd."""
@@ -68,6 +73,7 @@ class Decomposition:
     t: int
 
 
+# kept for the benchmark's tracer, which wraps it by name (perfbench/tracing.py)
 def decompose(n: int) -> Decomposition:
     """Split odd n >= 3 as n - 1 = 2^s * t, t odd."""
     if n < 3 or n % 2 == 0:
@@ -77,52 +83,26 @@ def decompose(n: int) -> Decomposition:
     return Decomposition(s, t >> s)
 
 
-def sprp_round(n: int, a: int, d: Decomposition | None = None) -> bool:
-    """One strong-probable-prime round to base a, 1 <= a < n, odd n >= 3."""
-    if d is None:
-        d = decompose(n)
-    b = powmod(a, d.t, n)
-    for _ in range(d.s):
-        k = b * b % n
-        if k == 1 and b != 1 and b != n - 1:
+def sprp_round(n: int, a: int) -> bool:
+    """One strong-probable-prime round to base a, 1 <= a < n, odd n >= 3.
+
+    The referees' round, written apart from ``strong_rounds``: ``bpsw``
+    runs it to base 2, ``verification.random_base_sprp`` to random bases.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n must be odd and >= 3")
+    n1 = n - 1
+    s = (n1 & -n1).bit_length() - 1
+    b = powmod(a, n1 >> s, n)
+    if b == 1 or b == n1:
+        return True
+    for _ in range(s - 1):
+        b = b * b % n
+        if b == n1:
+            return True
+        if b == 1:
             return False
-        b = k
-    return b == 1
-
-
-@dataclass(frozen=True)
-class Literal:
-    """A fixed base."""
-
-    value: int
-
-
-@dataclass(frozen=True)
-class SqrtDerived:
-    """Base isqrt(n // divisor) + offset, resolved against n at test time."""
-
-    divisor: int
-    offset: int
-
-
-BaseSpec = Literal | SqrtDerived
-
-
-def resolve_base(spec: BaseSpec, n: int) -> int:
-    if isinstance(spec, Literal):
-        return spec.value
-    return isqrt(n // spec.divisor) + spec.offset
-
-
-SEVEN_BASE_SCHEDULE: tuple[BaseSpec, ...] = (
-    Literal(2),
-    Literal(5),
-    Literal(17),
-    SqrtDerived(1, 0),
-    SqrtDerived(1, 1),
-    SqrtDerived(2, 0),
-    SqrtDerived(2, 1),
-)
+    return False
 
 
 def small_screen(n: int, prime_below: int, factor_below: int) -> Verdict | None:
@@ -142,40 +122,6 @@ def small_screen(n: int, prime_below: int, factor_below: int) -> Verdict | None:
         return Verdict(False, _SMALL_PRIME_SCREEN, next(
             d for d in range(3, n, 2) if n % d == 0))
     return None
-
-
-def mr_with_schedule(
-    n: int, schedule: tuple[BaseSpec, ...], trace: list[TraceStep] | None = None
-) -> Verdict:
-    """Run the schedule's rounds in order; composite on the first failure.
-
-    Works for any integer width. Resolved bases are reduced mod n; a base
-    that resolves to <= 0 or to a multiple of n is skipped (its round would
-    be vacuous). A base that resolves to 1 legitimately passes. A schedule
-    with no usable base for n raises ValueError rather than call n prime.
-    """
-    v = small_screen(n, 0, 0)
-    return _scheduled(n, schedule, trace) if v is None else v
-
-
-def _scheduled(n: int, schedule: tuple[BaseSpec, ...], trace: list | None) -> Verdict:
-    # mr_with_schedule past its screen, for odd n >= 3
-    v = strong_rounds(n, _usable_bases(n, schedule), trace)
-    if v is not None:
-        return v
-    # the verdict names the last round run
-    last = next(_usable_bases(n, reversed(schedule)), None)
-    if last is None:
-        raise ValueError(f"no base of the schedule is usable for n = {n}")
-    return Verdict(True, Stage.mr_round(last))
-
-
-def _usable_bases(n: int, schedule: Iterable[BaseSpec]) -> Iterator[int]:
-    # resolved one at a time, so a composite pays only for the rounds it runs
-    for spec in schedule:
-        base = resolve_base(spec, n)
-        if base > 0 and base % n:
-            yield base
 
 
 def base2_refuted_by_small_factor(n: int) -> bool:
@@ -243,7 +189,7 @@ def strong_rounds(
             if not s:
                 s = (n1 & -n1).bit_length() - 1
                 t = n1 >> s
-            # the sprp_round chain, stopped once it reaches n - 1 or 1
+            # the chain of sprp_round, written apart from the referees' copy
             b = powmod(base, t, n)
             ok = b == 1 or b == n1
             if not ok:
@@ -274,7 +220,14 @@ def seven_base_variant(n: int, *, trace: list[TraceStep] | None = None) -> Verdi
     if n == 17:
         return Verdict(True, _SMALL_PRIME_SCREEN, 17)
     v = small_screen(n, 9, 9)
-    return _scheduled(n, SEVEN_BASE_SCHEDULE, trace) if v is None else v
+    if v is not None:
+        return v
+    # for odd n >= 9 but 17, no base is 0 or a multiple of n
+    m = isqrt(n)
+    h = isqrt(n >> 1)
+    v = strong_rounds(n, (2, 5, 17, m, m + 1, h, h + 1), trace)
+    # a prime's verdict names its last round
+    return Verdict(True, Stage.mr_round(h + 1)) if v is None else v
 
 
 # --- Baillie-PSW: the referee of the random and search sweeps ----------------
@@ -294,8 +247,9 @@ def bpsw(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     Q = (1 - D)/4 and Selfridge's D, the first of 5, -7, 9, -11, ... with
     (D/n) = -1 (Baillie & Wagstaff 1980). It is reported exact below 2^64.
 
-    It runs none of the strong-round code of the tests it referees. It
-    shares two pieces with them. One is the small-factor screen
+    Its base-2 round is ``sprp_round``, the referees' round: it runs none
+    of the strong-round code (``strong_rounds``) of the tests it referees.
+    It shares two pieces with them. One is the small-factor screen
     ``base2_refuted_by_small_factor``, which settles its base-2 round
     without the pow when a prime 41 <= p < 1024 divides n. Its prime or
     composite answers cannot depend on that screen: the screen refutes only
@@ -313,7 +267,7 @@ def bpsw(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
         return v
     if n < 1681:
         return _NO_SMALL_FACTOR
-    ok = not base2_refuted_by_small_factor(n) and _base2_strong(n)
+    ok = not base2_refuted_by_small_factor(n) and sprp_round(n, 2)
     if trace is not None:
         trace.append(TraceStep(_BASE2_FAILURE.stage, None, ok))
     if not ok:
@@ -356,22 +310,6 @@ def _divisor(p: int, trace: list | None) -> Verdict:
     if trace is not None:
         trace.append(TraceStep(stage, p, False))
     return Verdict(False, stage, p)
-
-
-def _base2_strong(n: int) -> bool:
-    # the base-2 strong round of odd n >= 3, apart from strong_rounds
-    n1 = n - 1
-    s = (n1 & -n1).bit_length() - 1
-    b = powmod(2, n1 >> s, n)
-    if b == 1 or b == n1:
-        return True
-    for _ in range(s - 1):
-        b = b * b % n
-        if b == n1:
-            return True
-        if b == 1:
-            return False
-    return False
 
 
 def _jacobi(a: int, n: int) -> int:

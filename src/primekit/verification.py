@@ -21,7 +21,7 @@ from . import kernel
 from .bigrecipes import recipe256, recipe2048
 from .modarith import U64_MAX
 from .residues import DEFAULT_SEARCH_CAP, prime_flags
-from .sprp import decompose, sprp_round
+from .sprp import sprp_round
 
 # rich (stage-carrying) implementations, for diagnosing any mismatch
 RICH_ALGORITHMS = {key: spec.rich for key, spec in kernel.ALGOS.items()}
@@ -181,9 +181,10 @@ def _records(algo: str, ns) -> list[MismatchRecord]:
     rich = RICH_ALGORITHMS[algo]
     labels = ("composite", "prime")
     return [
-        MismatchRecord(n, algo, labels[not fn(n)], labels[bool(fn(n))],
+        MismatchRecord(n, algo, labels[not actual], labels[actual],
                        rich(n).stage.describe())
         for n in sorted(set(ns))
+        for actual in (bool(fn(n)),)
     ]
 
 
@@ -515,9 +516,7 @@ def random_base_sprp(n: int, rounds: int = 64, seed: int | None = None) -> bool:
     if n % 2 == 0:
         return False
     rng = random.Random(seed)
-    d = decompose(n)
     for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        if not sprp_round(n, a, d):
+        if not sprp_round(n, rng.randrange(2, n - 1)):
             return False
     return True

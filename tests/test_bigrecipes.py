@@ -1,20 +1,35 @@
 import random
 import warnings
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from primekit.bigrecipes import RECIPE_256, RECIPE_2048, Recipe, recipe256, recipe2048
-from primekit.sprp import Literal, SqrtDerived
+from primekit.bigrecipes import (
+    RECIPE_256,
+    RECIPE_2048,
+    Recipe,
+    recipe256,
+    recipe2048,
+    run_recipe,
+)
 from primekit.verdicts import MR_ROUND
 from primekit.verification import random_base_sprp
 
 
 def test_recipe_shapes():
-    assert len(RECIPE_256.mr_bases) == 10
-    assert len(RECIPE_2048.mr_bases) == 26
-    assert RECIPE_256.mr_bases[0] == Literal(2)
-    assert SqrtDerived(7, 2) in RECIPE_2048.mr_bases
+    assert (RECIPE_256.sqrt_divisors, RECIPE_256.sqrt_offsets) == ((1, 2, 3), (-1, 0, 1))
+    assert (RECIPE_2048.sqrt_divisors, RECIPE_2048.sqrt_offsets) == (
+        (1, 2, 3, 5, 7), (-2, -1, 0, 1, 2))
+    # a prime runs every round: 2, then isqrt(n // i) + j, i outer, j inner
+    n = 2**127 - 1
+    for recipe, fn, count in ((RECIPE_256, recipe256, 10), (RECIPE_2048, recipe2048, 26)):
+        trace = []
+        assert fn(n, trace=trace).is_prime
+        bases = [step.stage.base for step in trace if step.stage.kind == MR_ROUND]
+        assert bases == [2] + [isqrt(n // i) + j for i in recipe.sqrt_divisors
+                               for j in recipe.sqrt_offsets]
+        assert len(bases) == count
     assert [str(f) for f in RECIPE_256.reciprocity_forms] == ["4k+1", "4k+3"]
     assert [str(f) for f in RECIPE_2048.reciprocity_forms] == [
         "8k+1",
@@ -28,7 +43,23 @@ def test_recipe_shapes():
 
 def test_recipe_needs_a_reciprocity_form():
     with pytest.raises(ValueError, match="reciprocity form"):
-        Recipe("none", 1, RECIPE_256.mr_bases, ())
+        Recipe("none", 1, (1,), (0,), ())
+
+
+def test_recipe_needs_sqrt_divisors_of_at_least_one():
+    for divisors in ((0,), (1, -3)):
+        with pytest.raises(ValueError, match="sqrt divisor"):
+            Recipe("bad", 1, divisors, (0,), RECIPE_256.reciprocity_forms)
+
+
+def test_recipe_bases_skip_vacuous_rounds():
+    # for the prime 101, isqrt(101) = 10: the offsets -11 and -10 give the
+    # bases -1 and 0, and 91 gives 101 itself, so their rounds are skipped;
+    # -9 gives 1, a legal, trivially passing base
+    recipe = Recipe("grid", 1, (1,), (-11, -10, -9, 91), RECIPE_256.reciprocity_forms)
+    trace = []
+    assert run_recipe(101, recipe, trace=trace).is_prime
+    assert [step.stage.base for step in trace if step.stage.kind == MR_ROUND] == [2, 1]
 
 
 def test_small_screens():

@@ -21,13 +21,12 @@ from primekit.harness import (
 )
 
 PUBLIC_NAMES = {
-    "BACKEND", "Decomposition", "FORM_4K1", "FORM_4K3", "FORM_8K1", "FORM_8K3",
-    "FORM_8K5", "FORM_8K7", "Form", "RECIPE_256", "RECIPE_2048", "Recipe",
+    "BACKEND", "FORM_4K1", "FORM_4K3", "FORM_8K1", "FORM_8K3", "FORM_8K5",
+    "FORM_8K7", "Form", "RECIPE_256", "RECIPE_2048", "Recipe",
     "SearchCapExceeded", "SearchResult", "Stage", "TraceStep", "Verdict",
-    "bpsw", "decompose", "gauss_euler", "is_small_prime", "isqrt", "legendre",
-    "mr_ge", "mr_ge_first_attempt", "mr_with_schedule", "mulmod", "powmod",
-    "recipe256", "recipe2048", "seven_base_variant",
-    "smallest_nonresidue_prime", "sprp_round",
+    "bpsw", "gauss_euler", "is_small_prime", "legendre", "mr_ge",
+    "mr_ge_first_attempt", "mulmod", "powmod", "recipe256", "recipe2048",
+    "seven_base_variant", "smallest_nonresidue_prime", "sprp_round",
 }
 
 

@@ -4,8 +4,9 @@ Each call is made with and without a trace list, and both must agree. The
 first hash was taken from the stage-logging rich tests that preceded the
 fail-fast ones, and retaken without the deleted twelve-base oracle on a
 commit that still held the oracle; any change to what a rich test reports
-on these inputs changes it. The second pins the small-n screens of the wide recipes and of
-``mr_with_schedule``, which the first reaches only on wide values. The third
+on these inputs changes it. The second pins the wide recipes on n < 1000,
+whose small-n screens and rounds the first reaches only on wide values; it
+passed on the commit that still held the base-schedule objects. The third
 pins ``bpsw`` on the 64-bit inputs of the first.
 """
 
@@ -13,12 +14,11 @@ import hashlib
 import random
 
 from primekit.bigrecipes import recipe256, recipe2048
-from primekit.sprp import SEVEN_BASE_SCHEDULE, Literal, bpsw, mr_with_schedule
+from primekit.sprp import bpsw
 from primekit.verification import CORPUS, RICH_ALGORITHMS
 
 PINNED_SHA256 = "7b217acfeee6404c0f8e981b6d591a483c44fd1d8e6c4596a11d0fb387cf51a8"
-SMALL_N_SHA256 = "74ac79436d372ca34dde8a7c078bc47660842ec20c7098a642106f0f5a27e7ed"
-RECIPE_SMALL_N_SHA256 = "37b8e4311bed78556fbd8c83afc65d1af27bccbba0746760b02fc265c3550afd"
+SMALL_N_SHA256 = "37b8e4311bed78556fbd8c83afc65d1af27bccbba0746760b02fc265c3550afd"
 BPSW_SHA256 = "c6296f4b1f822ee6b2f7fe75f763e9139f397ac5f69282c7c927946334db24c1"
 
 # the algorithms the first hash pins, by name: bpsw, added later, has its own
@@ -63,25 +63,9 @@ def test_bpsw_verdicts_match_the_pinned_hash():
     assert digest.hexdigest() == BPSW_SHA256
 
 
-def _seven_base_schedule(n, trace=None):
-    return mr_with_schedule(n, SEVEN_BASE_SCHEDULE, trace)
-
-
-def _bases_2_3(n, trace=None):
-    return mr_with_schedule(n, (Literal(2), Literal(3)), trace)
-
-
 def test_small_n_verdicts_match_the_pinned_hash():
-    digest = hashlib.sha256()
-    for fn in (recipe256, recipe2048, _seven_base_schedule, _bases_2_3):
-        for n in range(1000):
-            _record(fn, n, digest)
-    assert digest.hexdigest() == SMALL_N_SHA256
-
-
-def test_small_n_recipe_verdicts_match_the_pinned_hash():
     digest = hashlib.sha256()
     for fn in (recipe256, recipe2048):
         for n in range(1000):
             _record(fn, n, digest)
-    assert digest.hexdigest() == RECIPE_SMALL_N_SHA256
+    assert digest.hexdigest() == SMALL_N_SHA256

@@ -6,18 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primekit import sprp
+from primekit import bigrecipes, sprp
 from primekit.modarith import U64_MAX
 from primekit.residues import is_small_prime
 from primekit.sprp import (
-    SEVEN_BASE_SCHEDULE,
-    Literal,
-    SqrtDerived,
     base2_refuted_by_small_factor,
     bpsw,
     decompose,
-    mr_with_schedule,
-    resolve_base,
     seven_base_variant,
     small_screen,
     sprp_round,
@@ -46,6 +41,8 @@ def test_decompose_rejects_bad_input():
         # strong_rounds decomposes lazily, so it checks n before any round
         with pytest.raises(ValueError):
             strong_rounds(n, (2,))
+        with pytest.raises(ValueError):
+            sprp_round(n, 2)
 
 
 def test_decompose_recompose_random():
@@ -282,9 +279,9 @@ def test_strong_rounds_loop_on_primes_and_strong_pseudoprimes(sieve_bytes):
 
 def test_plus_minus_one_always_pass():
     for n in range(3, 10**4, 2):
-        d = decompose(n)
-        assert sprp_round(n, 1, d)
-        assert sprp_round(n, n - 1, d)
+        assert sprp_round(n, 1)
+        assert sprp_round(n, n - 1)
+        assert strong_rounds(n, (1, n - 1)) is None
 
 
 def test_primes_pass_every_base(sieve_bytes):
@@ -292,9 +289,8 @@ def test_primes_pass_every_base(sieve_bytes):
     for p in range(3, 300, 2):
         if bm[p] != 1:
             continue
-        d = decompose(p)
         for a in range(1, p):
-            assert sprp_round(p, a, d)
+            assert sprp_round(p, a)
 
 
 def test_primes_pass_sampled_bases(sieve_bytes):
@@ -303,50 +299,43 @@ def test_primes_pass_sampled_bases(sieve_bytes):
     for p in range(301, 10**4, 2):
         if bm[p] != 1:
             continue
-        d = decompose(p)
         for _ in range(20):
-            assert sprp_round(p, rng.randrange(1, p), d)
+            assert sprp_round(p, rng.randrange(1, p))
+
+
+def _seven_base_rounds(n):
+    trace = []
+    v = seven_base_variant(n, trace=trace)
+    assert all(step.stage.kind == MR_ROUND for step in trace), n
+    return v, [step.stage.base for step in trace]
 
 
 def test_schedule_shapes():
-    assert len(SEVEN_BASE_SCHEDULE) == 7
-    assert SEVEN_BASE_SCHEDULE[:3] == (Literal(2), Literal(5), Literal(17))
+    # a prime runs all seven rounds: 2, 5, 17, isqrt(n), isqrt(n) + 1,
+    # isqrt(n // 2), isqrt(n // 2) + 1; its verdict names the last
+    v, bases = _seven_base_rounds(10**18 + 3)
+    assert bases == [2, 5, 17, 10**9, 10**9 + 1, 707106781, 707106782]
+    assert v == Verdict(True, Stage.mr_round(707106782))
 
 
 def test_resolve_base():
-    assert resolve_base(Literal(17), 10**9) == 17
-    assert resolve_base(SqrtDerived(1, 0), 46657) == 216
-    assert resolve_base(SqrtDerived(2, 1), 46657) == 153
-    assert resolve_base(SqrtDerived(2, -1), 46657) == 151
+    # the sqrt-derived bases are resolved against n in exact integer
+    # arithmetic, at the top of the 64-bit range and on wide n
+    _, bases = _seven_base_rounds(2**64 - 59)
+    assert bases[3:] == [2**32 - 1, 2**32, 3037000499, 3037000500]
+    assert list(bigrecipes._bases(46657, bigrecipes.RECIPE_256)) == [
+        2, 215, 216, 217, 151, 152, 153, 123, 124, 125]
 
 
-def test_mr_with_schedule_base2_kills_561():
-    v = mr_with_schedule(561, (Literal(2),))
-    assert not v.is_prime
-    assert v.stage.kind == MR_ROUND and v.stage.base == 2
+def test_strong_rounds_base2_kills_561():
+    assert strong_rounds(561, (2,)) == Verdict(False, Stage.mr_round(2), 2)
 
 
-def test_mr_with_schedule_documented_false_positive():
-    assert mr_with_schedule(33077785078626881, SEVEN_BASE_SCHEDULE).is_prime
-
-
-def test_mr_with_schedule_large_prime():
-    assert mr_with_schedule(10**18 + 3, SEVEN_BASE_SCHEDULE).is_prime
-
-
-def test_mr_with_schedule_base_one_passes():
-    # isqrt(11 // 2) - 1 == 1: a legal, trivially passing base
-    assert resolve_base(SqrtDerived(2, -1), 11) == 1
-    assert mr_with_schedule(11, (SqrtDerived(2, -1),)).is_prime
-
-
-def test_mr_with_schedule_refuses_a_schedule_with_no_usable_base():
-    # every base is skipped (none at all, n itself, a multiple of n), so no
-    # round runs and the verdict would rest on nothing
-    for n, schedule in ((15, (Literal(15),)), (21, (Literal(42),)), (15, ()),
-                        (3, (Literal(3), Literal(0)))):
-        with pytest.raises(ValueError, match="no base"):
-            mr_with_schedule(n, schedule)
+def test_seven_base_documented_false_positive():
+    # composite, yet it passes all seven rounds
+    v, bases = _seven_base_rounds(33077785078626881)
+    assert bases == [2, 5, 17, 181872991, 181872992, 128603625, 128603626]
+    assert v == Verdict(True, Stage.mr_round(128603626))
 
 
 def test_small_screen_bounds():
@@ -376,12 +365,12 @@ def test_seven_base_matches_sieve(sieve_bytes):
         assert seven_base_variant(n).is_prime == (bm[n] == 1), n
 
 
-def test_mr_with_schedule_first_four_primes_vs_sieve(sieve_bytes):
-    # the classic [2, 3, 5, 7] schedule is exact far beyond this range
+def test_strong_rounds_first_four_primes_vs_sieve(sieve_bytes):
+    # the classic bases 2, 3, 5, 7 are exact far beyond this range; from 9
+    # on, no base is a multiple of n
     bm = sieve_bytes(10**6)
-    schedule = (Literal(2), Literal(3), Literal(5), Literal(7))
-    for n in range(3, 10**6, 2):
-        assert mr_with_schedule(n, schedule).is_prime == (bm[n] == 1), n
+    for n in range(9, 10**6, 2):
+        assert (strong_rounds(n, (2, 3, 5, 7)) is None) == (bm[n] == 1), n
 
 
 def test_bpsw_trial_primes_are_the_primes_below_41():
@@ -427,7 +416,7 @@ def test_bpsw_small_factor_screen_only_refutes_what_base2_fails():
         refuted[lo] = 0
         for n in range(lo, hi, 2):
             if all(n % p for p in sprp._TRIAL_PRIMES) and base2_refuted_by_small_factor(n):
-                assert not sprp._base2_strong(n), n
+                assert not sprp_round(n, 2), n
                 assert bpsw(n) == Verdict(False, Stage.mr_round(2), 2), n
                 assert any(n % p == 0 for p in range(41, 1024, 2)), n
                 refuted[lo] += 1

@@ -472,3 +472,72 @@ def test_the_referee_is_bpsw_and_never_referees_itself():
         search_counterexamples("bpsw", 3, 99, 1)
     # the sieve referees bpsw itself
     assert exhaustive_verify("bpsw", 10**5) == []
+
+
+def _raise_wherever_held(mp, fn):
+    # every primekit module that holds fn by name calls a stand-in that raises
+    def broken(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "primekit":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    mp.setattr(module, attr, broken)
+
+
+def test_the_referees_share_no_strong_round_with_the_tests(sieve_bytes):
+    from primekit import bigrecipes, detprime64, sprp
+
+    rng = random.Random(22)
+    primes = []
+    while len(primes) < 200:
+        n = random_odd_u64(rng)
+        if detprime64.gauss_euler(n).is_prime and sprp.bpsw(n).is_prime:
+            primes.append(n)
+    bm = sieve_bytes(10**6)
+    spsp = [n for n in range(3, 10**6, 2)
+            if bm[n] != 1 and pow(2, n - 1, n) == 1 and sprp.sprp_round(n, 2)]
+    assert len(spsp) == 46
+    sample = list(range(2000)) + [random_odd_u64(rng) for _ in range(500)]
+    sample += [entry.n for entry in CORPUS] + primes + spsp
+    bpsw_verdicts = [sprp.bpsw(n) for n in sample]
+    # a fault in the tests' round cannot reach the referees
+    with pytest.MonkeyPatch.context() as mp:
+        _raise_wherever_held(mp, sprp.strong_rounds)
+        with pytest.raises(AssertionError, match="strong_rounds"):
+            detprime64.mr_ge(primes[0])
+        assert [sprp.bpsw(n) for n in sample] == bpsw_verdicts
+        for i, p in enumerate(primes):
+            assert sprp.bpsw(p).is_prime and random_base_sprp(p, 8, seed=i), p
+        for n in spsp:
+            assert not sprp.bpsw(n).is_prime and not random_base_sprp(n, 16, seed=n), n
+    # nor a fault in the referees' round reach the tests
+    wide = [rng.getrandbits(256) | (1 << 255) | 1 for _ in range(100)]
+    tests = (detprime64.gauss_euler, detprime64.mr_ge, detprime64.mr_ge_first_attempt,
+             sprp.seven_base_variant, bigrecipes.recipe256)
+    verdicts = [[fn(n) for n in sample] for fn in tests] + [
+        [bigrecipes.recipe256(n) for n in wide]]
+    with pytest.MonkeyPatch.context() as mp:
+        _raise_wherever_held(mp, sprp.sprp_round)
+        with pytest.raises(AssertionError, match="sprp_round"):
+            sprp.bpsw(primes[0])
+        with pytest.raises(AssertionError, match="sprp_round"):
+            random_base_sprp(primes[0])
+        assert [[fn(n) for n in sample] for fn in tests] + [
+            [bigrecipes.recipe256(n) for n in wide]] == verdicts
+
+
+def test_mismatch_records_call_the_kernel_once_per_n(monkeypatch):
+    calls = []
+    ge = kernel.ALGORITHMS["ge"]
+
+    def counted(n):
+        calls.append(n)
+        return ge(n)
+
+    monkeypatch.setitem(kernel.ALGORITHMS, "ge", counted)
+    records = verification._records("ge", [97, 91, 97])
+    assert sorted(calls) == [91, 97]
+    assert [(r.n, r.expected, r.actual) for r in records] == [
+        (91, "prime", "composite"), (97, "composite", "prime")]
