@@ -1,11 +1,12 @@
 /* Compiled 64-bit kernel: the hot paths of every test.
  *
- * Same functions as primekit._pykernel: the paper's two tests (ge, mrge),
- * its rejected first design (first_attempt), the seven-base variant (mr7),
- * and Baillie-PSW (bpsw), the exact reference the others are checked
- * against, which shares no strong-round code with them. The reference
- * semantics are the rich tests in primekit.detprime64 and primekit.sprp,
- * and the verdicts are tested against them. Products and square
+ * Same functions as primekit._pykernel. The paper's two tests (ge, mrge),
+ * its rejected first design (first_attempt) and the seven-base variant (mr7)
+ * are rows of one table, run by one driver, run(). Baillie-PSW (bpsw), the
+ * exact reference the others are checked against, shares no strong-round
+ * code with them. The reference semantics are the rich tests in
+ * primekit.detprime64 and primekit.sprp: the verdicts are tested against
+ * them, and each row against its rich test's trace. Products and square
  * comparisons go through 128-bit intermediates so the full uint64 range is
  * safe. Stage-carrying logic stays in the Python layer; these return bools.
  * Entry points take positional arguments only.
@@ -23,8 +24,8 @@ typedef unsigned __int128 u128;
 /* candidates per nonresidue walk; equal to primekit.residues.DEFAULT_SEARCH_CAP */
 #define DEFAULT_SEARCH_CAP 1000
 
-/* verdicts of the tests that walk the nonresidue search; PASSED means no
-   stage has decided n yet */
+/* verdicts of run() and reciprocity(); PASSED means no stage has decided n
+   yet */
 enum { CAP_EXCEEDED = -1, COMPOSITE = 0, PRIME = 1, PASSED = 2 };
 
 static inline uint64_t mulmod64(uint64_t a, uint64_t b, uint64_t m)
@@ -98,17 +99,41 @@ static int reciprocity(uint64_t n, uint64_t first, uint64_t step)
     return CAP_EXCEEDED;
 }
 
-/* Strong rounds of odd n > 2 to each of the bases; 1 when all pass. */
-static int strong_rounds(uint64_t n, const uint64_t *bases, int count)
+/* One row per test that runs sqrt-derived bases, read in this order: odd n
+   below small_below is decided by is_small_prime; with squares, a perfect
+   square is composite; base 2, then the literals up to the first 0 (one equal
+   to n is skipped), then isqrt(n >> k) + j for each {k, j}, each give an Euler
+   check (base 2 must give (2/n), the others +-1) with euler, else a strong
+   round; then the reciprocity forms {first candidate, step} up to the first 0.
+   tests/test_kernels.py checks each row against its rich test's trace. */
+struct test {
+    uint64_t small_below;
+    int squares, euler;
+    uint64_t literals[2];
+    struct { int k, j; } roots[4];
+    struct { uint64_t first, step; } forms[2];
+};
+
+static const struct test
+    GE    = {100, 0, 1, {0},     {{0, 0}, {0, 1}, {1, 0}, {1, 1}},   {{5, 8}, {17, 8}}},
+    MRGE  = {9,   1, 0, {0},     {{0, -1}, {0, 1}, {1, -1}, {1, 1}}, {{3, 4}}},
+    FIRST = {9,   0, 0, {0},     {{0, 0}, {0, 1}, {1, 0}, {1, 1}},   {{5, 4}}},
+    MR7   = {9,   0, 0, {5, 17}, {{0, 0}, {0, 1}, {1, 0}, {1, 1}},   {{0}}};
+
+/* Rounds of odd n > 2 to each of the bases: Euler checks a^((n-1)/2) = +-1,
+   or strong rounds over n - 1 = 2^s * d, d odd. 1 when all pass. One loop,
+   so that the compiler hoists what powmod64 computes from n alone. */
+static int rounds(int euler, uint64_t n, const uint64_t *bases, int count)
 {
-    uint64_t s = 0, t = n - 1, b, k, j;
-    int i;
-    while (!(t & 1)) {
-        s++;
-        t >>= 1;
-    }
+    int s = __builtin_ctzll(n - 1), i, j;
+    uint64_t e = (n - 1) >> (euler ? 1 : s), b, k;
     for (i = 0; i < count; i++) {
-        b = powmod64(bases[i], t, n);
+        b = powmod64(bases[i], e, n);
+        if (euler) {
+            if (b != 1 && b != n - 1)
+                return 0;
+            continue;
+        }
         for (j = 0; j < s; j++) {
             k = mulmod64(b, b, n);
             if (k == 1 && b != 1 && b != n - 1)
@@ -121,93 +146,44 @@ static int strong_rounds(uint64_t n, const uint64_t *bases, int count)
     return 1;
 }
 
-static int ge(uint64_t n)
+static int run(const struct test *t, uint64_t n)
 {
-    uint64_t e, want, m, h, q;
-    int i, r;
+    uint64_t root = 0, bases[7] = {2}; /* 2, the literals, the four roots */
+    int k = -1, count = 0, i, r;
     if (n < 2)
         return COMPOSITE;
     if (n % 2 == 0)
         return n == 2;
-    if (n < 100)
+    if (n < t->small_below)
         return is_small_prime(n);
-    e = (n - 1) >> 1;
-    want = (n % 8 == 1 || n % 8 == 7) ? 1 : n - 1;
-    if (powmod64(2, e, n) != want)
-        return COMPOSITE;
-    m = isqrt64(n);
-    h = isqrt64(n >> 1);
-    const uint64_t bases[4] = {m, m + 1, h, h + 1};
-    for (i = 0; i < 4; i++) {
-        q = powmod64(bases[i], e, n);
-        if (q != 1 && q != n - 1)
+    if (t->squares) {
+        root = isqrt64(n);
+        k = 0;
+        if (root * root == n)
             return COMPOSITE;
     }
-    /* smallest 8k+5 then 8k+1 prime p with (n/p) = -1 */
-    if ((r = reciprocity(n, 5, 8)) != PASSED)
-        return r;
-    if ((r = reciprocity(n, 17, 8)) != PASSED)
-        return r;
+    /* (2/n) = +1 exactly when n = 8k+1 or 8k+7 */
+    if (t->euler ? powmod64(2, (n - 1) >> 1, n) != (n % 8 == 1 || n % 8 == 7 ? 1 : n - 1)
+                 : !rounds(0, n, bases, 1))
+        return COMPOSITE;
+    for (i = 0; i < 2 && t->literals[i]; i++)
+        if (t->literals[i] != n)
+            bases[++count] = t->literals[i];
+    for (i = 0; i < 4; i++) {
+        if (t->roots[i].k != k)
+            root = isqrt64(n >> (k = t->roots[i].k));
+        bases[++count] = root + t->roots[i].j;
+    }
+    if (!rounds(t->euler, n, bases + 1, count))
+        return COMPOSITE;
+    for (i = 0; i < 2 && t->forms[i].first; i++)
+        if ((r = reciprocity(n, t->forms[i].first, t->forms[i].step)) != PASSED)
+            return r;
     return PRIME;
 }
 
-static int mrge(uint64_t n)
-{
-    uint64_t m, h;
-    int r;
-    if (n < 2)
-        return COMPOSITE;
-    if (n % 2 == 0)
-        return n == 2;
-    if (n < 9)
-        return PRIME; /* 3, 5, 7 */
-    m = isqrt64(n);
-    if (m * m == n)
-        return COMPOSITE;
-    h = isqrt64(n >> 1);
-    const uint64_t bases[5] = {2, m - 1, m + 1, h - 1, h + 1};
-    if (!strong_rounds(n, bases, 5))
-        return COMPOSITE;
-    r = reciprocity(n, 3, 4);
-    return r == PASSED ? PRIME : r;
-}
-
-static int first_attempt(uint64_t n)
-{
-    uint64_t m, h;
-    int r;
-    if (n < 2)
-        return COMPOSITE;
-    if (n % 2 == 0)
-        return n == 2;
-    if (n < 9)
-        return PRIME;
-    m = isqrt64(n);
-    h = isqrt64(n >> 1);
-    const uint64_t bases[5] = {2, m, m + 1, h, h + 1};
-    if (!strong_rounds(n, bases, 5))
-        return COMPOSITE;
-    r = reciprocity(n, 5, 4);
-    return r == PASSED ? PRIME : r;
-}
-
-static int mr7(uint64_t n)
-{
-    uint64_t m, h;
-    if (n == 17)
-        return 1;
-    if (n < 9)
-        return n == 2 || n == 3 || n == 5 || n == 7;
-    if (n % 2 == 0)
-        return 0;
-    m = isqrt64(n);
-    h = isqrt64(n >> 1);
-    const uint64_t bases[7] = {2, 5, 17, m, m + 1, h, h + 1};
-    return strong_rounds(n, bases, 7);
-}
-
 /* --- Baillie-PSW: its own base-2 round and Lucas ladder, apart from
-   strong_rounds, so that it can referee the tests above ------------------- */
+   rounds(), so that it can referee the tests above ------------------------ */
 
 /* every prime below 41, so that n < 41^2 with none of them as a factor is
    prime */
@@ -413,14 +389,14 @@ static PyObject *search_cap_exceeded(uint64_t n)
     return NULL;
 }
 
-/* The verdict of a test that walks the nonresidue search. */
-static PyObject *capped(int (*test)(uint64_t), PyObject *arg)
+/* The verdict of a row; only a row with forms can exceed the search cap. */
+static PyObject *capped(const struct test *test, PyObject *arg)
 {
     uint64_t n;
     int r;
     if (as_u64(arg, &n))
         return NULL;
-    r = test(n);
+    r = run(test, n);
     return r == CAP_EXCEEDED ? search_cap_exceeded(n) : PyBool_FromLong(r);
 }
 
@@ -442,23 +418,22 @@ static PyObject *py_isqrt64(PyObject *Py_UNUSED(module), PyObject *arg)
 
 static PyObject *py_ge_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
 {
-    return capped(ge, arg);
+    return capped(&GE, arg);
 }
 
 static PyObject *py_mrge_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
 {
-    return capped(mrge, arg);
+    return capped(&MRGE, arg);
 }
 
 static PyObject *py_first_attempt_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
 {
-    return capped(first_attempt, arg);
+    return capped(&FIRST, arg);
 }
 
 static PyObject *py_mr7_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)
 {
-    uint64_t n;
-    return as_u64(arg, &n) ? NULL : PyBool_FromLong(mr7(n));
+    return capped(&MR7, arg);
 }
 
 static PyObject *py_bpsw_is_prime(PyObject *Py_UNUSED(module), PyObject *arg)

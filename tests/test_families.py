@@ -1,18 +1,23 @@
-"""Hard composite families across the 64-bit range, on the pure path.
+"""Hard composite families across the 64-bit range.
 
 Random draws almost never hit a base-2 pseudoprime, so the stages after
 the base-2 checks see few of them above the exhaustive sweep's 10^7. These
-families are built to reach those stages; every member is composite.
+families are built to reach those stages; every member is composite. The
+rich tests pin the stages, and both kernels must give every member the
+rich tests' verdicts.
 """
 
+import random
 from collections import Counter
 from math import isqrt, prod
+
+import pytest
 
 from primekit import kernel
 from primekit.detprime64 import gauss_euler, mr_ge
 from primekit.residues import prime_flags
 from primekit.sprp import bpsw
-from primekit.verdicts import MR_ROUND
+from primekit.verdicts import RECIPROCITY
 from primekit.verification import RICH_ALGORITHMS
 
 # (6k+1)(12k+1)(18k+1) < 2^64 exactly when k < 242,348
@@ -32,20 +37,24 @@ def chernick_carmichaels() -> list[int]:
     return out
 
 
-def _mr_ge_base(n: int, stage) -> str:
-    # the round's base, named by its place in the MR-GE schedule
-    assert stage.kind == MR_ROUND, stage
+def _stage_key(n: int, stage) -> str:
+    # the stage, with a round's base named by its place in the schedules
+    # (m = isqrt(n), h = isqrt(n // 2)) and a reciprocity check by its form
+    if stage.kind == RECIPROCITY:
+        return f"{stage.kind}({stage.form})"
+    if stage.base is None:
+        return stage.kind
     m, h = isqrt(n), isqrt(n >> 1)
-    names = {2: "2", m - 1: "m-1", m + 1: "m+1", h - 1: "h-1", h + 1: "h+1"}
-    return names[stage.base]
+    names = {2: "2", 5: "5", 17: "17", m - 1: "m-1", m: "m", m + 1: "m+1",
+             h - 1: "h-1", h: "h", h + 1: "h+1"}
+    return f"{stage.kind}({names[stage.base]})"
 
 
 def test_chernick_carmichaels_are_composite_with_pinned_stages():
     ns = chernick_carmichaels()
     assert len(ns) == 1675 and max(ns) < 2**64
     for algo, rich in RICH_ALGORITHMS.items():
-        entry = kernel.ALGORITHMS[algo]
-        assert [n for n in ns if rich(n).is_prime or entry(n)] == [], algo
+        assert [n for n in ns if rich(n).is_prime] == [], algo
 
     ge = Counter()
     for n in ns:
@@ -53,8 +62,9 @@ def test_chernick_carmichaels_are_composite_with_pinned_stages():
         ge[stage.kind if stage.form is None else f"{stage.kind}({stage.form})"] += 1
     assert ge == {"sqrt-base": 778, "reciprocity(8k+5)": 897}
 
-    mrge = Counter(_mr_ge_base(n, mr_ge(n).stage) for n in ns)
-    assert mrge == {"2": 1424, "m-1": 225, "m+1": 23, "h-1": 3}
+    mrge = Counter(_stage_key(n, mr_ge(n).stage) for n in ns)
+    assert mrge == {"mr-round(2)": 1424, "mr-round(m-1)": 225, "mr-round(m+1)": 23,
+                    "mr-round(h-1)": 3}
 
     assert Counter(bpsw(n).stage.kind for n in ns) == {
         "mr-round": 1422, "strong-lucas": 251, "divisor-found": 2}
@@ -123,4 +133,78 @@ def test_jaeschke_psi_k_are_composite_with_pinned_stages():
         verdicts = [RICH_ALGORITHMS[algo](n) for algo in JAESCHKE_ALGOS]
         assert tuple(v.stage.describe() for v in verdicts) == JAESCHKE_STAGES[n], n
         assert not any(v.is_prime for v in verdicts), n
-        assert not any(kernel.ALGORITHMS[algo](n) for algo in JAESCHKE_ALGOS), n
+
+
+def _is_prime(q: int) -> bool:
+    # exact below 3.8 * 10^18 (psi_9): strong rounds to the primes up to 23
+    # suffice there, and a factor below 2^33 is far below it
+    if q <= 37:
+        return q in PRIMES_TO_37
+    return all(_strong_probable_prime(q, a) for a in PRIMES_TO_37)
+
+
+def doubled_semiprimes(count: int, seed: int) -> list[int]:
+    """The first ``count`` distinct n = p(2p - 1) < 2^64 with p = 1 (mod 4)
+    and both factors prime, met by a seeded walk that draws a bit length,
+    then p of that length. h + 1 = p divides n, where h = isqrt(n // 2) =
+    p - 1: every test's last sqrt-derived base shares a factor with n."""
+    rng = random.Random(seed)
+    out = set()
+    while len(out) < count:
+        bits = rng.randrange(3, 33)
+        p = rng.randrange(2 ** (bits - 1), 2**bits) | 1
+        p += (1 - p) % 4
+        n = p * (2 * p - 1)
+        if n < 2**64 and _is_prime(p) and _is_prime(2 * p - 1):
+            out.add(n)
+    return sorted(out)
+
+
+@pytest.fixture(scope="module")
+def families(sieve_bytes) -> dict[str, list[int]]:
+    """The composites that reach the late stages, by family."""
+    flags = sieve_bytes(10**6)
+    fermat = [n for n in range(3, 10**6, 2) if not flags[n] and pow(2, n - 1, n) == 1]
+    assert len(fermat) == 245  # the base-2 Fermat pseudoprimes below 10^6
+    return {
+        "chernick": chernick_carmichaels(),
+        "jaeschke": [n for _, n, _, _ in JAESCHKE],
+        "fermat base 2": fermat,
+        "odd prime squares": [p * p for p in range(3, 10**4, 2) if flags[p]],
+        "p(2p - 1)": doubled_semiprimes(1000, seed=23),
+    }
+
+
+# the stages at which each test rejects doubled_semiprimes(1000, seed=23),
+# pinned from the rich tests
+DOUBLED_STAGES = {
+    "ge": {"mod8-euler(2)": 468, "sqrt-base(m)": 393, "sqrt-base(m+1)": 98,
+           "sqrt-base(h)": 20, "sqrt-base(h+1)": 21},
+    "mrge": {"mr-round(2)": 626, "mr-round(m-1)": 306, "mr-round(m+1)": 54,
+             "mr-round(h-1)": 7, "mr-round(h+1)": 7},
+    "first": {"mr-round(2)": 626, "mr-round(m)": 312, "mr-round(m+1)": 47,
+              "mr-round(h)": 14, "mr-round(h+1)": 1},
+    "mr7": {"mr-round(2)": 626, "mr-round(5)": 351, "mr-round(17)": 21, "mr-round(m)": 2},
+    "bpsw": {"mr-round(2)": 625, "strong-lucas": 374, "divisor-found": 1},
+}
+
+
+def test_doubled_semiprimes_are_composite_with_pinned_stages(families):
+    ns = families["p(2p - 1)"]
+    assert len(ns) == 1000 and max(ns) < 2**64
+    for n in ns:
+        p = isqrt(n >> 1) + 1
+        assert n == p * (2 * p - 1) and p % 4 == 1, n
+    for algo, rich in RICH_ALGORITHMS.items():
+        assert [n for n in ns if rich(n).is_prime] == [], algo
+    stages = {algo: dict(Counter(_stage_key(n, rich(n).stage) for n in ns))
+              for algo, rich in RICH_ALGORITHMS.items()}
+    assert stages == DOUBLED_STAGES
+
+
+def test_kernels_agree_with_the_rich_tests_on_every_family(impl, families):
+    for algo, spec in kernel.ALGOS.items():
+        entry = getattr(impl, spec.entry)
+        for family, ns in families.items():
+            assert [n for n in ns if entry(n) != spec.rich(n).is_prime] == [], (
+                algo, family)

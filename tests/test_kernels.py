@@ -3,25 +3,22 @@
 The rich stage-carrying implementations are the reference semantics; both
 kernels must agree with them verdict-for-verdict, and the compiled
 arithmetic must agree with big-int arithmetic over the full u64 range.
-
-The compiled kernel under test is built once per session from this
-checkout's ``setup.py`` and sources, in a temporary copy, so the verdict
-depends on the commit and not on whatever build sits in the working tree.
+The compiled kernel under test is the fresh build of ``conftest.py``.
 """
 
 import ast
-import importlib.util
 import os
 import random
 import re
 import shutil
 import subprocess
 import sys
-import sysconfig
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import CC, PYTHON_H, REPO, build_copy, load_build, needs_build_tools
 
 from primekit import detprime64, kernel, residues
 from primekit.detprime64 import (
@@ -32,14 +29,13 @@ from primekit.detprime64 import (
 )
 from primekit.modarith import U64_MAX
 from primekit.sprp import bpsw, seven_base_variant
-
-REPO = Path(__file__).resolve().parents[1]
-CC = (sysconfig.get_config_var("CC") or "cc").split()[0]
-PYTHON_H = Path(sysconfig.get_paths()["include"]) / "Python.h"
-EXT_FILE = "_kernel64" + sysconfig.get_config_var("EXT_SUFFIX")
-needs_build_tools = pytest.mark.skipif(
-    shutil.which(CC) is None or not PYTHON_H.is_file(),
-    reason=f"building the compiled kernel needs {CC} on PATH and {PYTHON_H}",
+from primekit.verdicts import (
+    MOD8_EULER,
+    MR_ROUND,
+    RECIPROCITY,
+    SMALL_PRIME_SCREEN,
+    SQRT_BASE,
+    Stage,
 )
 
 RICH = {
@@ -69,56 +65,6 @@ CORPUS_NS = (
 CAP_DEFINE = re.compile(r"^#define DEFAULT_SEARCH_CAP (\d+)$", re.MULTILINE)
 
 
-def _build_copy(root: Path, edit_source=None) -> Path:
-    """Run ``setup.py build_ext --inplace`` in a copy of the checkout under
-    ``root``, after ``edit_source`` rewrites the copied ``_kernel64.c`` text
-    when one is given; returns the copy's ``src`` directory holding the
-    built module."""
-    shutil.copy2(REPO / "setup.py", root)
-    shutil.copy2(REPO / "pyproject.toml", root)
-    shutil.copytree(
-        REPO / "src",
-        root / "src",
-        ignore=shutil.ignore_patterns("*.so", "__pycache__", "*.egg-info"),
-    )
-    if edit_source is not None:
-        source = root / "src" / "primekit" / "_kernel64.c"
-        source.write_text(edit_source(source.read_text()))
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=root,
-        capture_output=True,
-        text=True,
-    )
-    assert (root / "src" / "primekit" / EXT_FILE).is_file(), (
-        f"build_ext produced no {EXT_FILE} (exit {proc.returncode}):\n"
-        + (proc.stdout + proc.stderr)[-4000:]
-    )
-    return root / "src"
-
-
-def _load_build(src: Path):
-    """The compiled kernel built in ``src``, loaded from its file."""
-    spec = importlib.util.spec_from_file_location(
-        "primekit._kernel64", src / "primekit" / EXT_FILE
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="session")
-def kernel_build(tmp_path_factory) -> Path:
-    """A build of this checkout's sources, in a temporary copy."""
-    return _build_copy(tmp_path_factory.mktemp("kernel_build"))
-
-
-@pytest.fixture(scope="session")
-def c_kernel(kernel_build):
-    """The freshly built compiled kernel."""
-    return _load_build(kernel_build)
-
-
 @pytest.fixture(scope="session")
 def zero_cap_c_kernel(tmp_path_factory):
     """A compiled kernel built with the cap define rewritten to 0."""
@@ -128,14 +74,7 @@ def zero_cap_c_kernel(tmp_path_factory):
         assert count == 1
         return source
 
-    return _load_build(_build_copy(tmp_path_factory.mktemp("zero_cap"), zero_cap))
-
-
-@pytest.fixture(params=[pytest.param("c", marks=needs_build_tools), "python"])
-def impl(request):
-    if request.param == "c":
-        return request.getfixturevalue("c_kernel")
-    return kernel.load_backend("py")
+    return load_build(build_copy(tmp_path_factory.mktemp("zero_cap"), zero_cap))
 
 
 @needs_build_tools
@@ -288,6 +227,92 @@ def test_the_kernels_share_one_search_cap():
     source = (REPO / "src" / "primekit" / "_kernel64.c").read_text()
     assert [int(cap) for cap in CAP_DEFINE.findall(source)] == [
         residues.DEFAULT_SEARCH_CAP]
+
+
+# the table of _kernel64.c, one row per line:
+#   NAME = {small_below, squares, euler, {literals}, {{k, j} x 4}, {{first, step}, ...}},
+ROW_TABLE = re.compile(
+    r"^static const struct test\n((?: +\w+ += \{.*\}[,;]\n)+)", re.MULTILINE)
+ROW = re.compile(r"^ +(\w+) += (\{.*\})[,;]$", re.MULTILINE)
+# a verdict entry that runs a row: py_<entry>(...) { return capped(&ROW, arg); }
+ROW_ENTRY = re.compile(
+    r"^static PyObject \*py_(\w+)\(PyObject \*Py_UNUSED\(module\), PyObject \*arg\)\n"
+    r"\{\n    return capped\(&(\w+), arg\);\n\}$",
+    re.MULTILINE,
+)
+
+
+def _kernel_rows() -> dict[str, dict]:
+    """Each row of the compiled kernel's table, by the entry that runs it."""
+    source = (REPO / "src" / "primekit" / "_kernel64.c").read_text()
+    (table,) = ROW_TABLE.findall(source)
+    rows = {}
+    for name, body in ROW.findall(table):
+        bound, squares, euler, literals, roots, forms = ast.literal_eval(
+            body.replace("{", "[").replace("}", "]"))
+        rows[name] = {
+            "small_below": bound,
+            "squares": bool(squares),
+            "euler": bool(euler),
+            "literals": [a for a in literals if a],
+            "roots": [tuple(r) for r in roots],
+            "forms": [tuple(f) for f in forms if f[0]],
+        }
+    entries = dict(ROW_ENTRY.findall(source))
+    assert sorted(entries.values()) == sorted(rows), (entries, rows)
+    return {entry: rows[name] for entry, name in entries.items()}
+
+
+def _seeded_primes(rng: random.Random, lo: int, hi: int, residue: int, count: int):
+    # primes lo <= p < hi with p = residue (mod 4); bpsw is exact below 2^64
+    out = []
+    while len(out) < count:
+        n = rng.randrange(lo, hi) | 1
+        if n % 4 == residue and bpsw(n).is_prime:
+            out.append(n)
+    return out
+
+
+ROUND_KINDS = (MOD8_EULER, SQRT_BASE, MR_ROUND)
+
+
+def test_each_compiled_row_runs_the_stages_of_its_rich_test():
+    rows = _kernel_rows()
+    assert set(rows) == {"ge_is_prime", "mrge_is_prime", "first_attempt_is_prime",
+                         "mr7_is_prime"}
+    rng = random.Random(23)
+    # primes on both sides of 10^19, where modarith.powmod changes method
+    primes = [p for lo, hi in ((10**18, 10**19), (10**19, 2**64)) for residue in (1, 3)
+              for p in _seeded_primes(rng, lo, hi, residue, 3)]
+    roots = [p for residue in (1, 3)
+             for p in _seeded_primes(rng, 2**20, 2**32, residue, 2)]
+    for entry, row in rows.items():
+        rich = RICH[entry]
+        for n in primes:
+            trace = []
+            assert rich(n, trace=trace).is_prime, (entry, n)
+            bases = [step.stage.base for step in trace if step.stage.kind in ROUND_KINDS]
+            assert bases == [2, *(a for a in row["literals"] if a != n),
+                             *(isqrt(n >> k) + j for k, j in row["roots"])], (entry, n)
+            forms = [(step.stage.form.first_candidate, step.stage.form.modulus)
+                     for step in trace if step.stage.kind == RECIPROCITY]
+            assert forms == row["forms"], (entry, n)
+            assert any(step.stage.kind == SQRT_BASE for step in trace) == row["euler"]
+            assert (trace[0].stage.kind == MOD8_EULER) == row["euler"], (entry, n)
+        # only the row that refutes squares first names the root as their divisor
+        for p in roots:
+            assert (rich(p * p).stage == Stage.divisor_found(p)) == row["squares"], (
+                entry, p)
+        # odd n below the bound is settled by the screen, with no stage run
+        bound = row["small_below"]
+        for n in range(3, bound, 2):
+            trace = []
+            assert rich(n, trace=trace).stage.kind == SMALL_PRIME_SCREEN and not trace
+        first_composite = next(n for n in range(bound | 1, 2 * bound, 2)
+                               if not bpsw(n).is_prime)
+        trace = []
+        rich(first_composite, trace=trace)
+        assert trace, (entry, first_composite)
 
 
 def test_kernel_rejects_non_integers(impl):
