@@ -35,7 +35,7 @@ static inline uint64_t mulmod64(uint64_t a, uint64_t b, uint64_t m)
 
 static inline uint64_t powmod64(uint64_t a, uint64_t e, uint64_t m)
 {
-    uint64_t res = 1 % m;
+    uint64_t res = m > 1; /* 1 mod m, with no division */
     a %= m;
     while (e) {
         if (e & 1)
@@ -104,8 +104,9 @@ static int reciprocity(uint64_t n, uint64_t first, uint64_t step)
    square is composite; base 2, then the literals up to the first 0 (one equal
    to n is skipped), then isqrt(n >> k) + j for each {k, j}, each give an Euler
    check (base 2 must give (2/n), the others +-1) with euler, else a strong
-   round; then the reciprocity forms {first candidate, step} up to the first 0.
-   tests/test_kernels.py checks each row against its rich test's trace. */
+   round, run as soon as its base is made; then the reciprocity forms
+   {first candidate, step} up to the first 0. tests/test_kernels.py checks
+   each row against its rich test's trace. */
 struct test {
     uint64_t small_below;
     int squares, euler;
@@ -120,36 +121,27 @@ static const struct test
     FIRST = {9,   0, 0, {0},     {{0, 0}, {0, 1}, {1, 0}, {1, 1}},   {{5, 4}}},
     MR7   = {9,   0, 0, {5, 17}, {{0, 0}, {0, 1}, {1, 0}, {1, 1}},   {{0}}};
 
-/* Rounds of odd n > 2 to each of the bases: Euler checks a^((n-1)/2) = +-1,
-   or strong rounds over n - 1 = 2^s * d, d odd. 1 when all pass. One loop,
-   so that the compiler hoists what powmod64 computes from n alone. */
-static int rounds(int euler, uint64_t n, const uint64_t *bases, int count)
+/* A round of odd n > 2 to base a: an Euler check a^((n-1)/2) = +-1, or a
+   strong round over n - 1 = 2^s * d, d odd. 1 when n passes. */
+static int passes(int euler, uint64_t n, uint64_t a)
 {
-    int s = __builtin_ctzll(n - 1), i, j;
-    uint64_t e = (n - 1) >> (euler ? 1 : s), b, k;
-    for (i = 0; i < count; i++) {
-        b = powmod64(bases[i], e, n);
-        if (euler) {
-            if (b != 1 && b != n - 1)
-                return 0;
-            continue;
-        }
-        for (j = 0; j < s; j++) {
-            k = mulmod64(b, b, n);
-            if (k == 1 && b != 1 && b != n - 1)
-                return 0;
-            b = k;
-        }
-        if (b != 1)
+    int s = __builtin_ctzll(n - 1), j;
+    uint64_t b = powmod64(a, (n - 1) >> (euler ? 1 : s), n), k;
+    if (euler)
+        return b == 1 || b == n - 1;
+    for (j = 0; j < s; j++) {
+        k = mulmod64(b, b, n);
+        if (k == 1 && b != 1 && b != n - 1)
             return 0;
+        b = k;
     }
-    return 1;
+    return b == 1;
 }
 
 static int run(const struct test *t, uint64_t n)
 {
-    uint64_t root = 0, bases[7] = {2}; /* 2, the literals, the four roots */
-    int k = -1, count = 0, i, r;
+    uint64_t root = 0;
+    int k = -1, i, r;
     if (n < 2)
         return COMPOSITE;
     if (n % 2 == 0)
@@ -164,18 +156,17 @@ static int run(const struct test *t, uint64_t n)
     }
     /* (2/n) = +1 exactly when n = 8k+1 or 8k+7 */
     if (t->euler ? powmod64(2, (n - 1) >> 1, n) != (n % 8 == 1 || n % 8 == 7 ? 1 : n - 1)
-                 : !rounds(0, n, bases, 1))
+                 : !passes(0, n, 2))
         return COMPOSITE;
     for (i = 0; i < 2 && t->literals[i]; i++)
-        if (t->literals[i] != n)
-            bases[++count] = t->literals[i];
+        if (t->literals[i] != n && !passes(t->euler, n, t->literals[i]))
+            return COMPOSITE;
     for (i = 0; i < 4; i++) {
         if (t->roots[i].k != k)
             root = isqrt64(n >> (k = t->roots[i].k));
-        bases[++count] = root + t->roots[i].j;
+        if (!passes(t->euler, n, root + t->roots[i].j))
+            return COMPOSITE;
     }
-    if (!rounds(t->euler, n, bases + 1, count))
-        return COMPOSITE;
     for (i = 0; i < 2 && t->forms[i].first; i++)
         if ((r = reciprocity(n, t->forms[i].first, t->forms[i].step)) != PASSED)
             return r;
@@ -183,7 +174,7 @@ static int run(const struct test *t, uint64_t n)
 }
 
 /* --- Baillie-PSW: its own base-2 round and Lucas ladder, apart from
-   rounds(), so that it can referee the tests above ------------------------ */
+   passes(), so that it can referee the tests above ------------------------ */
 
 /* every prime below 41, so that n < 41^2 with none of them as a factor is
    prime */
