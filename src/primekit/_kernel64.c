@@ -25,7 +25,7 @@ typedef unsigned __int128 u128;
 #define DEFAULT_SEARCH_CAP 1000
 
 /* verdicts of run() and reciprocity(); PASSED means no stage has decided n
-   yet */
+   yet, and run() returns CAP_EXCEEDED - i when the walk of form i ran out */
 enum { CAP_EXCEEDED = -1, COMPOSITE = 0, PRIME = 1, PASSED = 2 };
 
 static inline uint64_t mulmod64(uint64_t a, uint64_t b, uint64_t m)
@@ -169,7 +169,7 @@ static int run(const struct test *t, uint64_t n)
     }
     for (i = 0; i < 2 && t->forms[i].first; i++)
         if ((r = reciprocity(n, t->forms[i].first, t->forms[i].step)) != PASSED)
-            return r;
+            return r == CAP_EXCEEDED ? CAP_EXCEEDED - i : r;
     return PRIME;
 }
 
@@ -325,7 +325,8 @@ static int bpsw(uint64_t n)
 #endif
 
 /* Any object with __index__, in [0, 2^64); floats raise TypeError instead of
-   truncating, and out-of-range values raise OverflowError. */
+   truncating, and out-of-range values raise OverflowError with the pure
+   kernel's text. */
 static int as_u64(PyObject *o, uint64_t *out)
 {
     uint64_t v;
@@ -337,8 +338,11 @@ static int as_u64(PyObject *o, uint64_t *out)
         v = LONG_AS_U64(o);
         Py_DECREF(o);
     }
-    if (v == UINT64_MAX && PyErr_Occurred())
+    if (v == UINT64_MAX && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_OverflowError))
+            PyErr_SetString(PyExc_OverflowError, "n must fit in an unsigned 64-bit integer");
         return -1;
+    }
     *out = v;
     return 0;
 }
@@ -361,11 +365,12 @@ static PyObject *modular(const char *name, uint64_t (*op)(uint64_t, uint64_t, ui
     return PyLong_FromUnsignedLongLong(op(a, b, m));
 }
 
-/* Raise the pure path's primekit.detprime64.SearchCapExceeded, so both
-   backends raise the same error. The class is looked up when raised, not
-   at module init: primekit.kernel loads this module while the package is
-   still importing. */
-static PyObject *search_cap_exceeded(uint64_t n)
+/* Raise the pure path's primekit.detprime64.SearchCapExceeded with its text,
+   naming the form step*k + first % step whose walk ran out, so both backends
+   raise the same error. The class is looked up when raised, not at module
+   init: primekit.kernel loads this module while the package is still
+   importing. */
+static PyObject *search_cap_exceeded(uint64_t n, uint64_t first, uint64_t step)
 {
     PyObject *module, *cls;
     if (!(module = PyImport_ImportModule("primekit.detprime64")))
@@ -374,7 +379,8 @@ static PyObject *search_cap_exceeded(uint64_t n)
     Py_DECREF(module);
     if (!cls)
         return NULL;
-    PyErr_Format(cls, "nonresidue search exceeded its cap of %d candidates for n=%llu",
+    PyErr_Format(cls, "no %lluk+%llu prime with (n/p) = -1 within %d candidates for n=%llu",
+                 (unsigned long long)step, (unsigned long long)(first % step),
                  DEFAULT_SEARCH_CAP, (unsigned long long)n);
     Py_DECREF(cls);
     return NULL;
@@ -387,8 +393,10 @@ static PyObject *capped(const struct test *test, PyObject *arg)
     int r;
     if (as_u64(arg, &n))
         return NULL;
-    r = run(test, n);
-    return r == CAP_EXCEEDED ? search_cap_exceeded(n) : PyBool_FromLong(r);
+    if ((r = run(test, n)) > CAP_EXCEEDED)
+        return PyBool_FromLong(r);
+    return search_cap_exceeded(n, test->forms[CAP_EXCEEDED - r].first,
+                               test->forms[CAP_EXCEEDED - r].step);
 }
 
 static PyObject *py_mulmod(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)

@@ -66,15 +66,15 @@ CAP_DEFINE = re.compile(r"^#define DEFAULT_SEARCH_CAP (\d+)$", re.MULTILINE)
 
 
 @pytest.fixture(scope="session")
-def zero_cap_c_kernel(tmp_path_factory):
-    """A compiled kernel built with the cap define rewritten to 0."""
+def one_cap_c_kernel(tmp_path_factory):
+    """A compiled kernel built with the cap define rewritten to 1."""
 
-    def zero_cap(source: str) -> str:
-        source, count = CAP_DEFINE.subn("#define DEFAULT_SEARCH_CAP 0", source)
+    def one_cap(source: str) -> str:
+        source, count = CAP_DEFINE.subn("#define DEFAULT_SEARCH_CAP 1", source)
         assert count == 1
         return source
 
-    return load_build(build_copy(tmp_path_factory.mktemp("zero_cap"), zero_cap))
+    return load_build(build_copy(tmp_path_factory.mktemp("one_cap"), one_cap))
 
 
 @needs_build_tools
@@ -189,13 +189,14 @@ def test_isqrt64_boundaries(impl):
 
 
 def test_kernel_overflow_errors(impl):
+    # both kernels give the pure kernel's text, whichever argument is out of range
     for bad in (2**64, 2**64 + 17, -1):
-        with pytest.raises(OverflowError):
-            impl.ge_is_prime(bad)
-        with pytest.raises(OverflowError):
-            impl.isqrt64(bad)
-        with pytest.raises(OverflowError):
-            impl.mulmod(bad, 1, 5)
+        for call in (lambda: impl.ge_is_prime(bad), lambda: impl.bpsw_is_prime(bad),
+                     lambda: impl.isqrt64(bad), lambda: impl.mulmod(bad, 1, 5),
+                     lambda: impl.powmod(3, bad, 5), lambda: impl.powmod(3, 2, bad)):
+            with pytest.raises(OverflowError) as caught:
+                call()
+            assert str(caught.value) == "n must fit in an unsigned 64-bit integer"
 
 
 def test_kernel_zero_modulus(impl):
@@ -206,21 +207,28 @@ def test_kernel_zero_modulus(impl):
 
 
 @pytest.fixture(params=[pytest.param("c", marks=needs_build_tools), "python"])
-def zero_cap_impl(request, monkeypatch):
-    """A kernel whose nonresidue walk may inspect no candidate."""
+def one_cap_impl(request, monkeypatch):
+    """A kernel whose nonresidue walk may inspect one candidate."""
     if request.param == "c":
-        return request.getfixturevalue("zero_cap_c_kernel")
-    monkeypatch.setattr(detprime64, "DEFAULT_SEARCH_CAP", 0)
+        return request.getfixturevalue("one_cap_c_kernel")
+    monkeypatch.setattr(detprime64, "DEFAULT_SEARCH_CAP", 1)
     return kernel.load_backend("py")
 
 
-def test_kernel_exhausted_cap_raises(zero_cap_impl):
+def test_kernel_exhausted_cap_raises(one_cap_impl):
     # both backends raise the pure path's class, which the CLI reports as a
-    # RuntimeError (exit 2)
-    for entry in ("ge_is_prime", "mrge_is_prime", "first_attempt_is_prime"):
-        with pytest.raises(SearchCapExceeded):
-            getattr(zero_cap_impl, entry)(101)
-    assert zero_cap_impl.mr7_is_prime(101)  # no walk, no cap
+    # RuntimeError (exit 2), with its text naming the form whose walk ran out:
+    # the first candidate of the named form is a residue of its n, so one
+    # candidate finds no nonresidue (ge reaches 8k+1 on 103, a nonresidue of 5)
+    for entry, n, form in (("ge_is_prime", 101, "8k+5"), ("ge_is_prime", 103, "8k+1"),
+                           ("mrge_is_prime", 103, "4k+3"),
+                           ("first_attempt_is_prime", 101, "4k+1")):
+        with pytest.raises(SearchCapExceeded) as caught:
+            getattr(one_cap_impl, entry)(n)
+        assert str(caught.value) == (
+            f"no {form} prime with (n/p) = -1 within 1 candidates for n={n}"), entry
+    assert one_cap_impl.mrge_is_prime(101)  # 3 is a nonresidue mod 101
+    assert one_cap_impl.mr7_is_prime(101)  # no walk, no cap
 
 
 def test_the_kernels_share_one_search_cap():
@@ -446,10 +454,11 @@ def test_the_backend_is_the_only_environment_setting():
 
 
 @needs_build_tools
-def test_kernel_source_compiles_without_warnings():
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # at setup.py's -O3, so that the warnings that need the optimiser run too
     proc = subprocess.run(
-        [CC, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
-         f"-I{PYTHON_H.parent}", str(REPO / "src" / "primekit" / "_kernel64.c")],
+        [CC, "-O3", "-c", "-Wall", "-Wextra", "-Werror", f"-I{PYTHON_H.parent}",
+         str(REPO / "src" / "primekit" / "_kernel64.c"), "-o", str(tmp_path / "k.o")],
         capture_output=True,
         text=True,
     )
