@@ -35,8 +35,6 @@ CSV_HEADER = "set,algo,reps,median_seconds,ns_per_call,primes,composites"
 SET4_FIRST = 1000000000000000003
 SET4_EXPECTED_LAST = 1000000000004133179
 
-_BENCHED = tuple(name for name, spec in kernel.ALGOS.items() if spec.bench)
-
 
 # set id -> what the set holds
 BENCH_SETS: dict[int, str] = {
@@ -121,16 +119,21 @@ def run_bench(
     set_id: int,
     algo: str,
     reps: int = 3,
-    backend: str = "auto",
+    backend: str | None = None,
 ) -> BenchResult:
-    """Median-of-``reps`` timing of one full single-threaded pass."""
-    if algo not in _BENCHED:
-        raise ValueError(f"bench supports {_BENCHED}, not {algo!r}")
+    """Median-of-``reps`` timing of one full single-threaded pass. Without
+    ``backend``, the kernel this process runs (``kernel.ALGORITHMS``, as
+    PRIMEKIT_BACKEND selected it); a name of BACKEND_CHOICES loads that one."""
+    if algo not in kernel.ALGOS:
+        raise ValueError(f"unknown algorithm: {algo!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     data = generate_set(set_id)
-    impl = kernel.load_backend(backend)
-    fn = getattr(impl, kernel.ALGOS[algo].entry)
+    if backend is None:
+        fn, backend_name = kernel.ALGORITHMS[algo], kernel.BACKEND
+    else:
+        impl = kernel.load_backend(backend)
+        fn, backend_name = getattr(impl, kernel.ALGOS[algo].entry), impl.BACKEND_NAME
 
     primes = 0
     for x in data:  # warm-up pass, discarded
@@ -153,7 +156,7 @@ def run_bench(
         ns_per_call=med / len(data) * 1e9,
         primes=primes,
         composites=len(data) - primes,
-        backend=impl.BACKEND_NAME,
+        backend=backend_name,
     )
 
 
@@ -196,10 +199,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="time one algorithm over one fixed set")
     b.add_argument("--set", dest="set_id", type=int, choices=BENCH_SETS, required=True)
-    b.add_argument("--algo", choices=_BENCHED, required=True)
+    b.add_argument("--algo", choices=algos, required=True)
     b.add_argument("--reps", type=int, default=3)
     b.add_argument("--csv", action="store_true")
-    b.add_argument("--backend", choices=kernel.BACKEND_CHOICES, default="auto")
+    b.add_argument(
+        "--backend", choices=kernel.BACKEND_CHOICES, default=None,
+        help="the kernel to time (default: the one PRIMEKIT_BACKEND selected)",
+    )
 
     s = sub.add_parser(
         "search", help="scan a range for disagreements with the bpsw referee"

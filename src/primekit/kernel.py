@@ -22,25 +22,22 @@ BACKEND_CHOICES = ("auto", "c", "py", "python")
 @dataclass(frozen=True)
 class AlgoSpec:
     """The kernel entry point (the same name in both backends), the rich
-    stage-carrying test, whether the test walks the nonresidue search (its
-    checkpoints then record the search cap), and whether ``bench`` times the
-    algorithm."""
+    stage-carrying test, and whether the test walks the nonresidue search
+    (its checkpoints then record the search cap)."""
 
     entry: str
     rich: Callable[..., Verdict]
     capped: bool
-    bench: bool
 
 
 ALGOS = {
-    "ge": AlgoSpec("ge_is_prime", detprime64.gauss_euler, capped=True, bench=True),
-    "mrge": AlgoSpec("mrge_is_prime", detprime64.mr_ge, capped=True, bench=True),
+    "ge": AlgoSpec("ge_is_prime", detprime64.gauss_euler, capped=True),
+    "mrge": AlgoSpec("mrge_is_prime", detprime64.mr_ge, capped=True),
     "first": AlgoSpec(
-        "first_attempt_is_prime", detprime64.mr_ge_first_attempt,
-        capped=True, bench=False,
+        "first_attempt_is_prime", detprime64.mr_ge_first_attempt, capped=True
     ),
-    "mr7": AlgoSpec("mr7_is_prime", sprp.seven_base_variant, capped=False, bench=True),
-    "bpsw": AlgoSpec("bpsw_is_prime", sprp.bpsw, capped=False, bench=True),
+    "mr7": AlgoSpec("mr7_is_prime", sprp.seven_base_variant, capped=False),
+    "bpsw": AlgoSpec("bpsw_is_prime", sprp.bpsw, capped=False),
 }
 
 

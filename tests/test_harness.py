@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import needs_build_tools
 
 import primekit
 from primekit import harness, kernel, verification
@@ -83,24 +84,26 @@ def test_generate_set_validates_id():
 
 
 def test_run_bench_counts_verdicts():
-    res = run_bench(1, "ge", reps=1)
-    # 17983 odd primes below 200000 (17984 primes minus the even prime 2)
-    assert res.primes == 17983
-    assert res.composites == 100000 - 17983
-    assert res.median_seconds > 0
-    assert res.ns_per_call == pytest.approx(res.median_seconds / 100000 * 1e9)
+    # bench takes every algorithm, the rejected first design included
+    for algo in ("ge", "first"):
+        res = run_bench(1, algo, reps=1)
+        # 17983 odd primes below 200000 (17984 primes minus the even prime 2)
+        assert res.primes == 17983, algo
+        assert res.composites == 100000 - 17983
+        assert res.median_seconds > 0
+        assert res.ns_per_call == pytest.approx(res.median_seconds / 100000 * 1e9)
 
 
 def test_run_bench_validates_arguments():
     with pytest.raises(ValueError):
-        run_bench(1, "first")
+        run_bench(1, "oracle")
     with pytest.raises(ValueError):
         run_bench(1, "ge", reps=0)
 
 
 def test_bench_human_names_backend():
     for backend, name in (("py", "python"), ("python", "python"),
-                          ("auto", kernel.BACKEND)):
+                          ("auto", kernel.BACKEND), (None, kernel.BACKEND)):
         res = run_bench(1, "mr7", reps=1, backend=backend)
         assert res.backend == name
         assert res.human().endswith(f" backend={name}")
@@ -168,10 +171,8 @@ def _choices(command: str, dest: str) -> set:
 
 
 def test_the_algorithm_table_drives_every_choice():
-    for command in ("test", "verify", "search"):
+    for command in ("test", "verify", "bench", "search"):
         assert _choices(command, "algo") == set(kernel.ALGOS), command
-    assert _choices("bench", "algo") == {
-        name for name, spec in kernel.ALGOS.items() if spec.bench}
     assert _choices("bench", "backend") == set(kernel.BACKEND_CHOICES)
     assert _choices("bench", "set_id") == set(BENCH_SETS)
 
@@ -349,3 +350,22 @@ def test_cli_bench_without_the_compiled_kernel(monkeypatch, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: the compiled kernel") and "not built" in err
+
+
+@needs_build_tools
+def test_bench_times_the_kernel_the_process_selected(kernel_build):
+    # without --backend, bench times kernel.ALGORITHMS as PRIMEKIT_BACKEND
+    # selected it; a named --backend still overrides
+    for selected, argv, timed in (("py", [], "python"), ("auto", [], "c"),
+                                  ("py", ["--backend", "c"], "c"),
+                                  ("c", ["--backend", "py"], "python")):
+        env = dict(os.environ, PRIMEKIT_BACKEND=selected, PYTHONPATH=str(kernel_build))
+        proc = subprocess.run(
+            [sys.executable, "-m", "primekit", "bench", "--set", "1", "--algo", "ge",
+             "--reps", "1", *argv],
+            cwd=kernel_build.parent, env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().endswith(f" backend={timed}"), (selected, argv,
+                                                                   proc.stdout)
