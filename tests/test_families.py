@@ -2,9 +2,10 @@
 
 Random draws almost never hit a base-2 pseudoprime, so the stages after
 the base-2 checks see few of them above the exhaustive sweep's 10^7. These
-families are built to reach those stages; every member is composite. The
-rich tests pin the stages, and both kernels must give every member the
-rich tests' verdicts.
+families are built to reach those stages, except the near squares
+p(p + 2d), which show that closeness to a square does not get past base 2;
+every member is composite. The rich tests pin the stages, and both kernels
+must give every member the rich tests' verdicts.
 """
 
 import random
@@ -160,6 +161,25 @@ def doubled_semiprimes(count: int, seed: int) -> list[int]:
     return sorted(out)
 
 
+def near_square_semiprimes(count: int, seed: int) -> list[int]:
+    """The first ``count`` distinct n = p(p + 2d) < 2^64 with 1 <= d <= 64
+    and both factors prime, met by a seeded walk that draws a bit length,
+    then p of that length, then d. n = (p + d)^2 - d^2 sits just below a
+    square. Since n - 1 = 2d (mod p - 1) and n - 1 = -2d (mod p + 2d - 1),
+    n passes a base-2 check only when the order of 2 modulo each factor
+    divides 2d, so few members reach the sqrt-derived bases."""
+    rng = random.Random(seed)
+    out = set()
+    while len(out) < count:
+        bits = rng.randrange(3, 33)
+        p = rng.randrange(2 ** (bits - 1), 2**bits) | 1
+        d = rng.randrange(1, 65)
+        n = p * (p + 2 * d)
+        if n < 2**64 and _is_prime(p) and _is_prime(p + 2 * d):
+            out.add(n)
+    return sorted(out)
+
+
 @pytest.fixture(scope="module")
 def families(sieve_bytes) -> dict[str, list[int]]:
     """The composites that reach the late stages, by family."""
@@ -172,6 +192,7 @@ def families(sieve_bytes) -> dict[str, list[int]]:
         "fermat base 2": fermat,
         "odd prime squares": [p * p for p in range(3, 10**4, 2) if flags[p]],
         "p(2p - 1)": doubled_semiprimes(1000, seed=23),
+        "p(p + 2d)": near_square_semiprimes(1000, seed=29),
     }
 
 
@@ -200,6 +221,33 @@ def test_doubled_semiprimes_are_composite_with_pinned_stages(families):
     stages = {algo: dict(Counter(_stage_key(n, rich(n).stage) for n in ns))
               for algo, rich in RICH_ALGORITHMS.items()}
     assert stages == DOUBLED_STAGES
+
+
+# the stages at which each test rejects near_square_semiprimes(1000, seed=29),
+# pinned from the rich tests; the seven members below 100 are ge's small-n screen
+NEAR_SQUARE_STAGES = {
+    "ge": {"small-prime-screen": 7, "mod8-euler(2)": 990, "sqrt-base(m)": 3},
+    "mrge": {"mr-round(2)": 997, "mr-round(m-1)": 1, "mr-round(m+1)": 1,
+             "mr-round(h-1)": 1},
+    "first": {"mr-round(2)": 997, "mr-round(m)": 3},
+    "mr7": {"mr-round(2)": 997, "mr-round(5)": 3},
+    "bpsw": {"mr-round(2)": 773, "strong-lucas": 1, "divisor-found": 226},
+}
+
+
+def test_near_square_semiprimes_are_composite_with_pinned_stages(families):
+    ns = families["p(p + 2d)"]
+    assert len(ns) == 1000 and max(ns) < 2**64
+    for n in ns:
+        # n + d^2 = (p + d)^2 for the d of n = p(p + 2d)
+        roots = [(isqrt(n + d * d), d) for d in range(1, 65)]
+        assert any(r * r == n + d * d and _is_prime(r - d) and _is_prime(r + d)
+                   for r, d in roots), n
+    for algo, rich in RICH_ALGORITHMS.items():
+        assert [n for n in ns if rich(n).is_prime] == [], algo
+    stages = {algo: dict(Counter(_stage_key(n, rich(n).stage) for n in ns))
+              for algo, rich in RICH_ALGORITHMS.items()}
+    assert stages == NEAR_SQUARE_STAGES
 
 
 def test_kernels_agree_with_the_rich_tests_on_every_family(impl, families):
