@@ -2,14 +2,16 @@
  *
  * Same functions as primekit._pykernel. The paper's two tests (ge, mrge),
  * its rejected first design (first_attempt) and the seven-base variant (mr7)
- * are rows of one table, run by one driver, run(). Baillie-PSW (bpsw), the
+ * are rows of one table, run by one driver, run(), which runs the round of
+ * each base, passes(), where the base is made. Baillie-PSW (bpsw), the
  * exact reference the others are checked against, shares no strong-round
  * code with them. The reference semantics are the rich tests in
  * primekit.detprime64 and primekit.sprp: the verdicts are tested against
  * them, and each row against its rich test's trace. Products and square
  * comparisons go through 128-bit intermediates so the full uint64 range is
  * safe. Stage-carrying logic stays in the Python layer; these return bools.
- * Entry points take positional arguments only.
+ * Entry points take positional arguments only, and raise the pure kernel's
+ * errors with its text.
  */
 
 #define PY_SSIZE_T_CLEAN
