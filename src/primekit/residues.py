@@ -14,6 +14,7 @@ in practice.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_SEARCH_CAP = 1000
 
@@ -129,9 +130,9 @@ def legendre(n: int, p: int) -> int:
     return v  # 0 or +1 for prime p
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of a residue-class nonresidue-prime search.
+class SearchResult(NamedTuple):
+    """Outcome of a residue-class nonresidue-prime search, a named tuple like
+    the verdict records (see ``verdicts``).
 
     status:
       found      -- prime with (n/prime) = -1

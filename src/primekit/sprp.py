@@ -20,7 +20,11 @@ from .residues import is_small_prime
 from .verdicts import Stage, TraceStep, Verdict
 
 _SMALL_PRIME_SCREEN = Stage.small_prime_screen()
-_BASE2_FAILURE = Verdict(False, Stage.mr_round(2), 2)
+_BASE2_ROUND = Stage.mr_round(2)
+_BASE2_FAILURE = Verdict(False, _BASE2_ROUND, 2)
+# the two trace steps of a base-2 round, shared by every traced call
+_BASE2_PASSED = TraceStep(_BASE2_ROUND, None, True)
+_BASE2_FAILED = TraceStep(_BASE2_ROUND, None, False)
 # the screen's outcomes that do not depend on n
 _UNIT = Verdict(False, Stage.even_or_unit())
 _TWO = Verdict(True, _SMALL_PRIME_SCREEN, 2)
@@ -200,12 +204,17 @@ def strong_rounds(
                         break
                     if b == 1:
                         break
-        if trace is not None:
-            trace.append(TraceStep(Stage.mr_round(base), None, ok))
-        if not ok:
-            if base == 2:
+        if base == 2:
+            if trace is not None:
+                trace.append(_BASE2_PASSED if ok else _BASE2_FAILED)
+            if not ok:
                 return _BASE2_FAILURE
-            return Verdict(False, Stage.mr_round(base), base)
+        elif trace is not None or not ok:
+            stage = Stage.mr_round(base)  # one record for the step and the verdict
+            if trace is not None:
+                trace.append(TraceStep(stage, None, ok))
+            if not ok:
+                return Verdict(False, stage, base)
     return None
 
 
@@ -269,7 +278,7 @@ def bpsw(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
         return _NO_SMALL_FACTOR
     ok = not base2_refuted_by_small_factor(n) and sprp_round(n, 2)
     if trace is not None:
-        trace.append(TraceStep(_BASE2_FAILURE.stage, None, ok))
+        trace.append(_BASE2_PASSED if ok else _BASE2_FAILED)
     if not ok:
         return _BASE2_FAILURE
     # the composite verdicts past the base-2 round are built per call: each
