@@ -1,11 +1,12 @@
-"""Hard composite families across the 64-bit range.
+"""Hard families across the 64-bit range.
 
 Random draws almost never hit a base-2 pseudoprime, so the stages after
-the base-2 checks see few of them above the exhaustive sweep's 10^7. These
-families are built to reach those stages, except the near squares
-p(p + 2d), which show that closeness to a square does not get past base 2;
-every member is composite. The rich tests pin the stages, and both kernels
-must give every member the rich tests' verdicts.
+the base-2 checks see few of them above the exhaustive sweep's 10^7. The
+composite families are built to reach those stages, except the near squares
+p(p + 2d), which show that closeness to a square does not get past base 2.
+The prime families are quadratic residues modulo many small primes, which
+forces long nonresidue walks. The rich tests pin the stages and walks, and
+both kernels must give every member the rich tests' verdicts.
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 
 from primekit import kernel
 from primekit.detprime64 import gauss_euler, mr_ge
-from primekit.residues import prime_flags
+from primekit.residues import FORM_4K3, FORM_8K1, FORM_8K5, prime_flags, smallest_nonresidue_prime
 from primekit.sprp import bpsw
 from primekit.verdicts import RECIPROCITY
 from primekit.verification import RICH_ALGORITHMS
@@ -180,9 +181,48 @@ def near_square_semiprimes(count: int, seed: int) -> list[int]:
     return sorted(out)
 
 
+def _form_primes(form) -> list[int]:
+    # the primes of the form's progression, from its first candidate on,
+    # while their product stays below 2^58
+    primes = []
+    p = form.first_candidate
+    while prod(primes) * p < 2**58:
+        if _is_prime(p):
+            primes.append(p)
+        p += form.modulus
+    return primes
+
+
+def square_class_primes(form, count: int, seed: int) -> list[int]:
+    """The first ``count`` distinct primes n in [2^62, 2^64) that are quadratic
+    residues modulo every prime of ``_form_primes(form)``, met by a seeded
+    walk: the CRT gives a random class of squares modulo their product m,
+    and a walk up the odd members of the class from a random start stops at
+    the first that ``bpsw`` calls prime (Lukes, Patterson & Williams 1996,
+    Math. Comp. 65:361). The search for the form's smallest nonresidue prime
+    must walk past every prime of the list."""
+    primes = _form_primes(form)
+    m = prod(primes)
+    rng = random.Random(seed)
+    out = set()
+    while len(out) < count:
+        r = sum(rng.randrange(1, q) ** 2 * (m // q) * pow(m // q, -1, q) for q in primes)
+        n = r % m + m * rng.randrange(-(-(2**62) // m), 2**64 // m)
+        n += m * (n % 2 == 0)  # m is odd
+        while n < 2**64 and not bpsw(n).is_prime:
+            n += 2 * m
+        if n < 2**64:
+            out.add(n)
+    return sorted(out)
+
+
+SQUARE_CLASS_FORMS = {f"squares mod {f} primes": f for f in (FORM_8K5, FORM_8K1, FORM_4K3)}
+
+
 @pytest.fixture(scope="module")
 def families(sieve_bytes) -> dict[str, list[int]]:
-    """The composites that reach the late stages, by family."""
+    """The inputs that reach the late stages, by family: composites, and
+    primes that force long nonresidue walks."""
     flags = sieve_bytes(10**6)
     fermat = [n for n in range(3, 10**6, 2) if not flags[n] and pow(2, n - 1, n) == 1]
     assert len(fermat) == 245  # the base-2 Fermat pseudoprimes below 10^6
@@ -193,7 +233,8 @@ def families(sieve_bytes) -> dict[str, list[int]]:
         "odd prime squares": [p * p for p in range(3, 10**4, 2) if flags[p]],
         "p(2p - 1)": doubled_semiprimes(1000, seed=23),
         "p(p + 2d)": near_square_semiprimes(1000, seed=29),
-    }
+    } | {name: square_class_primes(form, 1000, seed=7)
+         for name, form in SQUARE_CLASS_FORMS.items()}
 
 
 # the stages at which each test rejects doubled_semiprimes(1000, seed=23),
@@ -248,6 +289,28 @@ def test_near_square_semiprimes_are_composite_with_pinned_stages(families):
     stages = {algo: dict(Counter(_stage_key(n, rich(n).stage) for n in ns))
               for algo, rich in RICH_ALGORITHMS.items()}
     assert stages == NEAR_SQUARE_STAGES
+
+
+# the shortest and longest walks of smallest_nonresidue_prime(n, form) over
+# square_class_primes(form, 1000, seed=7), pinned from the rich search
+SQUARE_CLASS_WALKS = {
+    "squares mod 8k+5 primes": (22, 47),
+    "squares mod 8k+1 primes": (28, 55),
+    "squares mod 4k+3 primes": (21, 48),
+}
+
+
+def test_square_class_primes_force_long_walks(families):
+    for name, form in SQUARE_CLASS_FORMS.items():
+        ns = families[name]
+        primes = _form_primes(form)
+        assert len(ns) == 1000 and min(ns) >= 2**62 and max(ns) < 2**64, name
+        assert all(pow(n % q, q >> 1, q) == 1 for n in ns for q in primes), name
+        walks = [smallest_nonresidue_prime(n, form).inspected for n in ns]
+        # every member of the progression up to the last listed prime is passed over
+        assert min(walks) > (primes[-1] - form.first_candidate) // form.modulus + 1, name
+        assert (min(walks), max(walks)) == SQUARE_CLASS_WALKS[name]
+        assert [n for n in ns if not (gauss_euler(n).is_prime and mr_ge(n).is_prime)] == [], name
 
 
 def test_kernels_agree_with_the_rich_tests_on_every_family(impl, families):
