@@ -78,12 +78,10 @@ def gauss_euler(n: int, *, trace: list[TraceStep] | None = None) -> Verdict:
     for a in (m, m + 1, h, h + 1):
         r = powmod(a, e, n)
         ok = r == 1 or r == n1
-        if trace is not None or not ok:
-            stage = Stage.sqrt_base(a)  # one record for the step and the verdict
-            if trace is not None:
-                trace.append(TraceStep(stage, r, ok))
-            if not ok:
-                return Verdict(False, stage, a)
+        if trace is not None:
+            trace.append(TraceStep(Stage.sqrt_base(a), r, ok))
+        if not ok:
+            return Verdict(False, Stage.sqrt_base(a), a)
 
     return reciprocity_checks(n, (FORM_8K5, FORM_8K1), trace)
 

@@ -14,7 +14,6 @@ in practice.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 DEFAULT_SEARCH_CAP = 1000
 
@@ -130,9 +129,9 @@ def legendre(n: int, p: int) -> int:
     return v  # 0 or +1 for prime p
 
 
-class SearchResult(NamedTuple):
-    """Outcome of a residue-class nonresidue-prime search, a named tuple like
-    the verdict records (see ``verdicts``).
+@dataclass(frozen=True)
+class SearchResult:
+    """Outcome of a residue-class nonresidue-prime search.
 
     status:
       found      -- prime with (n/prime) = -1

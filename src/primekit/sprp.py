@@ -204,17 +204,15 @@ def strong_rounds(
                         break
                     if b == 1:
                         break
-        if base == 2:
-            if trace is not None:
+        if trace is not None:
+            if base == 2:
                 trace.append(_BASE2_PASSED if ok else _BASE2_FAILED)
-            if not ok:
+            else:
+                trace.append(TraceStep(Stage.mr_round(base), None, ok))
+        if not ok:
+            if base == 2:
                 return _BASE2_FAILURE
-        elif trace is not None or not ok:
-            stage = Stage.mr_round(base)  # one record for the step and the verdict
-            if trace is not None:
-                trace.append(TraceStep(stage, None, ok))
-            if not ok:
-                return Verdict(False, stage, base)
+            return Verdict(False, Stage.mr_round(base), base)
     return None
 
 

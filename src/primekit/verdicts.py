@@ -1,11 +1,11 @@
 """Verdict and stage records shared by all the tests.
 
-``Stage``, ``Verdict`` and ``TraceStep`` are named tuples, as is
-``residues.SearchResult``: a test builds them per call, and a named tuple
-costs about half as much to build as a frozen dataclass, which pays one
+``Stage``, ``Verdict`` and ``TraceStep`` are named tuples: a traced rich
+test builds a trace step per evaluated stage, and a named tuple costs about
+half as much to build as a frozen dataclass, which pays one
 ``object.__setattr__`` per field. They stay immutable, compare and hash by
-value, and print the same repr. The records built once per sweep or at
-import (``Form``, ``Recipe`` and the reports) stay frozen dataclasses.
+value, and print the same repr. The other records (``Form``, ``Recipe`` and
+the reports), which no hot path builds per call, stay frozen dataclasses.
 """
 
 from typing import NamedTuple

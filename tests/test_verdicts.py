@@ -1,13 +1,13 @@
-"""The per-call records (``Stage``, ``Verdict``, ``TraceStep`` and
-``SearchResult``): immutable, equal and hashed by value, picklable, with
-their repr text pinned, and the trace steps of a base-2 round."""
+"""The per-call records (``Stage``, ``Verdict`` and ``TraceStep``):
+immutable, equal and hashed by value, picklable, with their repr text
+pinned, and the trace steps of a base-2 round."""
 
 import pickle
 
 import pytest
 
 from primekit.detprime64 import gauss_euler, mr_ge
-from primekit.residues import FORM_4K3, FORM_8K1, SearchResult, smallest_nonresidue_prime
+from primekit.residues import FORM_8K1
 from primekit.sprp import base2_refuted_by_small_factor
 from primekit.verdicts import Stage, TraceStep, Verdict
 
@@ -25,11 +25,10 @@ def _records():
         Verdict(True, stage, 17),
         TraceStep(Stage.mr_round(2), None, True),
         TraceStep(stage, 1000000006, True),
-        SearchResult("found", 17, 1),
     ]
 
 
-FIRST_FIELD = {Stage: "kind", Verdict: "is_prime", TraceStep: "stage", SearchResult: "status"}
+FIRST_FIELD = {Stage: "kind", Verdict: "is_prime", TraceStep: "stage"}
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
@@ -65,15 +64,6 @@ def test_record_reprs_are_pinned():
         "TraceStep(stage=Stage(kind='mr-round', base=2, form=None, prime=None), "
         "value=None, passed=True)"
     )
-    assert repr(smallest_nonresidue_prime(PRIME, FORM_8K1)) == (
-        "SearchResult(status='found', prime=17, inspected=1)"
-    )
-
-
-def test_search_result_keeps_its_fields_and_found():
-    r = smallest_nonresidue_prime(PRIME, FORM_4K3)
-    assert (r.status, r.prime, r.inspected, r.found) == ("found", 3, 1, True)
-    assert not SearchResult("exhausted", None, 1000).found
 
 
 def test_traced_base2_rounds_record_their_outcome():
@@ -88,14 +78,3 @@ def test_traced_base2_rounds_record_their_outcome():
     assert trace[0] == TraceStep(Stage.mr_round(2), None, True)
     assert [step.passed for step in trace] == [True] * len(trace)
 
-
-def test_traced_failures_name_the_stage_of_their_verdict():
-    # the stage of a failing sqrt base or round is one record, shared by the
-    # last trace step and the verdict
-    for n in range(10**6 + 1, 10**6 + 2001, 2):
-        for test in (gauss_euler, mr_ge):
-            trace = []
-            v = test(n, trace=trace)
-            assert v == test(n), n
-            if not v.is_prime and trace:
-                assert trace[-1].stage == v.stage and not trace[-1].passed, n
