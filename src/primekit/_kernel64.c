@@ -5,7 +5,8 @@
  * are rows of one table, run by one driver, run(), which runs the round of
  * each base, passes(), where the base is made. Baillie-PSW (bpsw), the
  * exact reference the others are checked against, shares no strong-round
- * code with them. The reference semantics are the rich tests in
+ * code with them; its strong Lucas ladder is that of
+ * primekit.sprp._strong_lucas. The reference semantics are the rich tests in
  * primekit.detprime64 and primekit.sprp: the verdicts are tested against
  * them, and each row against its rich test's trace. Products and square
  * comparisons go through 128-bit intermediates so the full uint64 range is
@@ -52,10 +53,7 @@ static inline uint64_t isqrt64(uint64_t n)
 {
     /* float seed, then exact correction; the seed can be off by a few ulps
        near 2^64 */
-    uint64_t s;
-    if (n == 0)
-        return 0;
-    s = (uint64_t)sqrt((double)n);
+    uint64_t s = (uint64_t)sqrt((double)n);
     if (s > 4294967295ULL)
         s = 4294967295ULL;
     while ((u128)s * s > n)
@@ -193,21 +191,10 @@ static inline uint64_t submod64(uint64_t a, uint64_t b, uint64_t m)
     return a >= b ? a - b : a + (m - b);
 }
 
-/* a / 2 mod odd m, for a < m */
-static inline uint64_t halfmod64(uint64_t a, uint64_t m)
-{
-    return (uint64_t)(((a & 1) ? (u128)a + m : (u128)a) >> 1);
-}
-
 static int base2_strong(uint64_t n)
 {
-    uint64_t t = n - 1, b;
-    int s = 0;
-    while (!(t & 1)) {
-        s++;
-        t >>= 1;
-    }
-    b = powmod64(2, t, n);
+    int s = __builtin_ctzll(n - 1);
+    uint64_t b = powmod64(2, (n - 1) >> s, n);
     if (b == 1 || b == n - 1)
         return 1;
     while (--s > 0) {
@@ -243,38 +230,34 @@ static int jacobi(uint64_t a, uint64_t n)
 }
 
 /* Strong Lucas test of odd n with P = 1, Q = (1 - D)/4, where D = a, or
-   D = -a when neg, and (D/n) = -1. With n + 1 = 2^s * t, t odd, n passes
-   when U_t = 0 or V_(t*2^r) = 0 (mod n) for some 0 <= r < s. The ladder
-   walks the bits of t with U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k,
-   U_(2k+1) = (U_2k + V_2k)/2 and V_(2k+1) = (D U_2k + V_2k)/2. */
+   D = -a when neg, and (D/n) = -1: the ladder of primekit.sprp._strong_lucas.
+   With n + 1 = 2^s * t, t odd, n passes when U_t = 0 or V_(t*2^r) = 0
+   (mod n) for some 0 <= r < s. The ladder carries (V_k, V_(k+1), Q^k) up the
+   bits of t: V_2k = V_k^2 - 2Q^k and V_(2k+1) = V_k V_(k+1) - Q^k. U_t = 0 is
+   tested as D U_t = 2 V_(t+1) - V_t = 0, since D is a unit mod n. */
 static int strong_lucas(uint64_t n, uint64_t a, int neg)
 {
     /* n + 1 overflows only at n = 2^64 - 1, a multiple of 3 that trial
-       division has already refuted */
-    uint64_t t = n + 1, dm, qm, u = 1, v = 1, qk, du;
-    int s = 0, bit = 63;
-    while (!(t & 1)) {
-        s++;
-        t >>= 1;
-    }
-    dm = neg ? n - a : a;
+       division has already refuted, and __builtin_ctzll(0) is undefined */
+    int s = __builtin_ctzll(n + 1), bit;
+    uint64_t t = (n + 1) >> s, qm, qk, q1, v = 1, w;
     /* Q = (1 - a)/4 <= 0 when D = a > 0, and (1 + a)/4 > 0 when D = -a */
     qm = neg ? (a + 1) >> 2 : n - ((a - 1) >> 2);
     qk = qm;
-    while (!(t >> bit & 1))
-        bit--;
-    while (bit-- > 0) {
-        u = mulmod64(u, v, n);
-        v = submod64(mulmod64(v, v, n), addmod64(qk, qk, n), n);
-        qk = mulmod64(qk, qk, n);
+    w = submod64(1, addmod64(qm, qm, n), n); /* V_2 = 1 - 2Q */
+    for (bit = 62 - __builtin_clzll(t); bit >= 0; bit--) {
         if (t >> bit & 1) {
-            du = mulmod64(dm, u, n);
-            u = halfmod64(addmod64(u, v, n), n);
-            v = halfmod64(addmod64(du, v, n), n);
-            qk = mulmod64(qk, qm, n);
+            q1 = mulmod64(qk, qm, n); /* Q^(k+1) */
+            v = submod64(mulmod64(v, w, n), qk, n);
+            w = submod64(mulmod64(w, w, n), addmod64(q1, q1, n), n);
+            qk = mulmod64(qk, q1, n);
+        } else {
+            w = submod64(mulmod64(v, w, n), qk, n);
+            v = submod64(mulmod64(v, v, n), addmod64(qk, qk, n), n);
+            qk = mulmod64(qk, qk, n);
         }
     }
-    if (u == 0 || v == 0)
+    if (v == 0 || submod64(addmod64(w, w, n), v, n) == 0)
         return 1;
     while (--s > 0) {
         v = submod64(mulmod64(v, v, n), addmod64(qk, qk, n), n);
@@ -301,12 +284,10 @@ static int bpsw(uint64_t n)
     m = isqrt64(n);
     if (m * m == n)
         return 0; /* the D search below would never end */
-    /* Selfridge: the first D of 5, -7, 9, -11, ... with (D/n) = -1; since
-       (-1/n) = -1 exactly when n = 4k+3, (-a/n) = -(a/n) there */
+    /* Selfridge: the first D of 5, -7, 9, -11, ... with (D/n) = -1; a stays
+       far below n >= 41^2, so n - a is -a mod n */
     for (a = 5, neg = 0;; a += 2, neg = !neg) {
-        j = jacobi(a, n);
-        if (neg && (n & 3) == 3)
-            j = -j;
+        j = jacobi(neg ? n - a : a, n);
         if (j == -1)
             break;
         if (j == 0)

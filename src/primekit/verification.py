@@ -387,18 +387,13 @@ class CorpusEntry:
     stages: dict  # algo key -> pinned stage description
 
 
-def _expect(mr7=False, first=False):
-    # every corpus entry is composite; only the documented false positives
-    # report prime on their weak algorithm
-    return {
-        "bpsw": False,
-        "ge": False,
-        "mrge": False,
-        "first": first,
-        "mr7": mr7,
-        "recipe256": False,
-        "recipe2048": False,
-    }
+_CORPUS_ALGOS = {**RICH_ALGORITHMS, "recipe256": recipe256, "recipe2048": recipe2048}
+
+
+def _expect(weak=None):
+    # every corpus entry is composite; only a documented false positive
+    # reports prime, on its weak algorithm
+    return {key: key == weak for key in _CORPUS_ALGOS}
 
 
 CORPUS: tuple[CorpusEntry, ...] = (
@@ -450,7 +445,7 @@ CORPUS: tuple[CorpusEntry, ...] = (
         33077785078626881,
         (105004421, 315013261),
         "documented false positive of the seven-base variant",
-        _expect(mr7=True),
+        _expect("mr7"),
         {"ge": "reciprocity(8k+5,p=13)", "mrge": "mr-round(base=181872990)"},
     ),
     CorpusEntry(
@@ -458,12 +453,10 @@ CORPUS: tuple[CorpusEntry, ...] = (
         (548893, 1646677, 19211221),
         "documented false positive of the first-attempt design; larger than "
         "2^63, so it also exercises full-width arithmetic",
-        _expect(first=True),
+        _expect("first"),
         {"ge": "reciprocity(8k+5,p=53)", "mrge": "mr-round(base=2946527793)"},
     ),
 )
-
-_CORPUS_ALGOS = {**RICH_ALGORITHMS, "recipe256": recipe256, "recipe2048": recipe2048}
 
 
 @dataclass(frozen=True)
