@@ -8,6 +8,7 @@ the Baillie-PSW test (``bpsw``).
 
 The hot 64-bit paths run on a compiled kernel when the extension is built
 (``primekit.kernel.BACKEND == "c"``) and fall back to pure Python otherwise.
+Importing the package loads no kernel; ``primekit.kernel`` loads one.
 """
 
 from .bigrecipes import RECIPE_256, RECIPE_2048, Recipe, recipe256, recipe2048
@@ -17,7 +18,6 @@ from .detprime64 import (
     mr_ge,
     mr_ge_first_attempt,
 )
-from .kernel import BACKEND
 from .modarith import mulmod, powmod
 from .residues import (
     FORM_4K1,
@@ -38,7 +38,6 @@ from .verdicts import Stage, TraceStep, Verdict
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "FORM_4K1",
     "FORM_4K3",
     "FORM_8K1",

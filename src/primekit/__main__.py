@@ -1,5 +1,18 @@
-"""``python -m primekit``: the ``primekit`` command line from a source checkout."""
+"""The ``primekit`` command: ``python -m primekit`` and the installed script."""
 
-from .harness import main
+import sys
 
-raise SystemExit(main())
+
+def main(argv=None) -> int:
+    # importing the harness loads the kernel PRIMEKIT_BACKEND selects; a forced
+    # kernel that is not built is a usage error, not a traceback that exits 1
+    try:
+        from .harness import main as run
+    except ImportError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return run(argv)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -38,8 +38,7 @@ static inline uint64_t mulmod64(uint64_t a, uint64_t b, uint64_t m)
 
 static inline uint64_t powmod64(uint64_t a, uint64_t e, uint64_t m)
 {
-    uint64_t res = m > 1; /* 1 mod m, with no division */
-    a %= m;
+    uint64_t res = m > 1; /* 1 mod m; the first mulmod64 reduces a */
     while (e) {
         if (e & 1)
             res = mulmod64(res, a, m);

@@ -6,7 +6,9 @@ after one discarded warm-up pass. Absolute seconds depend on the machine;
 only orderings and ratios are comparable across runs.
 
 Exit codes: 0 success / no mismatch, 1 mismatch found, 2 usage error,
-3 a worker process of a ``--jobs`` sweep crashed.
+3 a worker process of a ``--jobs`` sweep crashed. Every command, ``bench``
+too, runs the kernel PRIMEKIT_BACKEND selected; ``primekit.__main__.main``
+exits 2 when that is a forced kernel that is not built.
 """
 
 import argparse
@@ -115,25 +117,16 @@ class BenchResult:
         )
 
 
-def run_bench(
-    set_id: int,
-    algo: str,
-    reps: int = 3,
-    backend: str | None = None,
-) -> BenchResult:
-    """Median-of-``reps`` timing of one full single-threaded pass. Without
-    ``backend``, the kernel this process runs (``kernel.ALGORITHMS``, as
-    PRIMEKIT_BACKEND selected it); a name of BACKEND_CHOICES loads that one."""
+def run_bench(set_id: int, algo: str, reps: int = 3) -> BenchResult:
+    """Median-of-``reps`` timing of one full single-threaded pass of the
+    kernel this process runs (``kernel.ALGORITHMS``, as PRIMEKIT_BACKEND
+    selected it)."""
     if algo not in kernel.ALGOS:
         raise ValueError(f"unknown algorithm: {algo!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     data = generate_set(set_id)
-    if backend is None:
-        fn, backend_name = kernel.ALGORITHMS[algo], kernel.BACKEND
-    else:
-        impl = kernel.load_backend(backend)
-        fn, backend_name = getattr(impl, kernel.ALGOS[algo].entry), impl.BACKEND_NAME
+    fn = kernel.ALGORITHMS[algo]
 
     primes = 0
     for x in data:  # warm-up pass, discarded
@@ -156,7 +149,7 @@ def run_bench(
         ns_per_call=med / len(data) * 1e9,
         primes=primes,
         composites=len(data) - primes,
-        backend=backend_name,
+        backend=kernel.BACKEND,
     )
 
 
@@ -202,10 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--algo", choices=algos, required=True)
     b.add_argument("--reps", type=int, default=3)
     b.add_argument("--csv", action="store_true")
-    b.add_argument(
-        "--backend", choices=kernel.BACKEND_CHOICES, default=None,
-        help="the kernel to time (default: the one PRIMEKIT_BACKEND selected)",
-    )
 
     s = sub.add_parser(
         "search", help="scan a range for disagreements with the bpsw referee"
@@ -247,7 +236,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    result = run_bench(args.set_id, args.algo, reps=args.reps, backend=args.backend)
+    result = run_bench(args.set_id, args.algo, reps=args.reps)
     if args.csv:
         print(CSV_HEADER)
         print(result.csv_row())
@@ -314,13 +303,8 @@ def main(argv=None) -> int:
     except BrokenProcessPool as exc:  # a RuntimeError, but not a usage error
         print(f"error: a worker process crashed: {exc}", file=sys.stderr)
         return 3
-    except (ImportError, OverflowError, ValueError, RuntimeError) as exc:
-        # ImportError covers --backend c on a tree without the compiled
-        # kernel, and RuntimeError an exhausted nonresidue search: a hard
-        # failure, never a verdict
+    except (OverflowError, ValueError, RuntimeError) as exc:
+        # RuntimeError is an exhausted nonresidue search: a hard failure,
+        # never a verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

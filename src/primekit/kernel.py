@@ -1,7 +1,8 @@
 """Backend selection: compiled extension when built, pure Python otherwise.
 
-Set PRIMEKIT_BACKEND=py (or =python) to force the pure kernel, or =c to
-require the compiled one (ImportError if it is missing). Default is auto.
+PRIMEKIT_BACKEND is the one choice: =py (or =python) forces the pure kernel,
+=c requires the compiled one (ImportError if it is missing; the command line
+exits 2), and auto is the default. ``BACKEND`` names the kernel loaded.
 
 ``ALGOS`` is the one table of the 64-bit algorithms; every list of them is
 derived from it. ``oracle_is_prime`` is no algorithm: it answers through

@@ -22,20 +22,25 @@ from primekit.sprp import bpsw
 from primekit.verdicts import RECIPROCITY
 from primekit.verification import RICH_ALGORITHMS
 
-# (6k+1)(12k+1)(18k+1) < 2^64 exactly when k < 242,348
-CHERNICK_K_LIMIT = 242348
+# the factors' multipliers of Chernick's U_3(k) and U_4(k)
+CHERNICK_3 = (6, 12, 18)
+CHERNICK_4 = (6, 12, 18, 36)
 
 
-def chernick_carmichaels() -> list[int]:
-    """Every (6k+1)(12k+1)(18k+1) below 2^64 whose three factors are prime
-    (Chernick 1939, Bull. AMS 45:269): each is a Carmichael number. The
-    factors are checked against the sieve, not against a test under check."""
-    flags = prime_flags(18 * CHERNICK_K_LIMIT + 1)
-    out = []
-    for k in range(1, CHERNICK_K_LIMIT):
-        a, b, c = 6 * k + 1, 12 * k + 1, 18 * k + 1
-        if flags[a] and flags[b] and flags[c]:
-            out.append(a * b * c)
+def chernick_carmichaels(multipliers: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Every n = prod(c k + 1 for c in multipliers) below 2^64 whose factors
+    are all prime, mapped to its factors (Chernick 1939, Bull. AMS 45:269):
+    for CHERNICK_3 and CHERNICK_4 each is a Carmichael number. The factors
+    are checked against the sieve, not against a test under check."""
+    k_limit = 1  # the first k whose product reaches 2^64
+    while prod(c * k_limit + 1 for c in multipliers) < 2**64:
+        k_limit += 1
+    flags = prime_flags(multipliers[-1] * k_limit)
+    out = {}
+    for k in range(1, k_limit):
+        factors = tuple(c * k + 1 for c in multipliers)
+        if all(flags[f] for f in factors):
+            out[prod(factors)] = factors
     return out
 
 
@@ -53,7 +58,7 @@ def _stage_key(n: int, stage) -> str:
 
 
 def test_chernick_carmichaels_are_composite_with_pinned_stages():
-    ns = chernick_carmichaels()
+    ns = list(chernick_carmichaels(CHERNICK_3))
     assert len(ns) == 1675 and max(ns) < 2**64
     for algo, rich in RICH_ALGORITHMS.items():
         assert [n for n in ns if rich(n).is_prime] == [], algo
@@ -70,6 +75,31 @@ def test_chernick_carmichaels_are_composite_with_pinned_stages():
 
     assert Counter(bpsw(n).stage.kind for n in ns) == {
         "mr-round": 1422, "strong-lucas": 251, "divisor-found": 2}
+
+
+# the stages at which each test rejects the four-factor Chernick numbers,
+# pinned from the rich tests
+CHERNICK_4_STAGES = {
+    "ge": {"mod8-euler(2)": 15, "sqrt-base(m)": 13},
+    "mrge": {"mr-round(2)": 26, "mr-round(m-1)": 2},
+    "first": {"mr-round(2)": 26, "mr-round(m)": 2},
+    "mr7": {"mr-round(2)": 26, "mr-round(5)": 2},
+    "bpsw": {"mr-round(2)": 25, "strong-lucas": 2, "divisor-found": 1},
+}
+
+
+def test_four_factor_chernick_carmichaels_are_composite_with_pinned_stages():
+    found = chernick_carmichaels(CHERNICK_4)
+    ns = sorted(found)
+    assert len(ns) == 28 and ns[0] == 63973 and ns[-1] == 17905475062325518273
+    for n, factors in found.items():
+        # Korselt: n is squarefree and p - 1 divides n - 1 for every prime p | n
+        assert len(set(factors)) == 4 and all((n - 1) % (p - 1) == 0 for p in factors), n
+    for algo, rich in RICH_ALGORITHMS.items():
+        assert [n for n in ns if rich(n).is_prime] == [], algo
+    stages = {algo: dict(Counter(_stage_key(n, rich(n).stage) for n in ns))
+              for algo, rich in RICH_ALGORITHMS.items()}
+    assert stages == CHERNICK_4_STAGES
 
 
 # Jaeschke's psi_k below 2^64 (Jaeschke 1993, Math. Comp. 61:915): the least
@@ -227,7 +257,8 @@ def families(sieve_bytes) -> dict[str, list[int]]:
     fermat = [n for n in range(3, 10**6, 2) if not flags[n] and pow(2, n - 1, n) == 1]
     assert len(fermat) == 245  # the base-2 Fermat pseudoprimes below 10^6
     return {
-        "chernick": chernick_carmichaels(),
+        "chernick": list(chernick_carmichaels(CHERNICK_3)),
+        "four-factor chernick": list(chernick_carmichaels(CHERNICK_4)),
         "jaeschke": [n for _, n, _, _ in JAESCHKE],
         "fermat base 2": fermat,
         "odd prime squares": [p * p for p in range(3, 10**4, 2) if flags[p]],

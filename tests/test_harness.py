@@ -2,6 +2,7 @@ import argparse
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +23,7 @@ from primekit.harness import (
 )
 
 PUBLIC_NAMES = {
-    "BACKEND", "FORM_4K1", "FORM_4K3", "FORM_8K1", "FORM_8K3", "FORM_8K5",
-    "FORM_8K7", "Form", "RECIPE_256", "RECIPE_2048", "Recipe",
+    "FORM_4K1", "FORM_4K3", "FORM_8K1", "FORM_8K3", "FORM_8K5", "FORM_8K7", "Form", "RECIPE_256", "RECIPE_2048", "Recipe",
     "SearchCapExceeded", "SearchResult", "Stage", "TraceStep", "Verdict",
     "bpsw", "gauss_euler", "is_small_prime", "legendre", "mr_ge",
     "mr_ge_first_attempt", "mulmod", "powmod", "recipe256", "recipe2048",
@@ -102,12 +102,10 @@ def test_run_bench_validates_arguments():
 
 
 def test_bench_human_names_backend():
-    for backend, name in (("py", "python"), ("python", "python"),
-                          ("auto", kernel.BACKEND), (None, kernel.BACKEND)):
-        res = run_bench(1, "mr7", reps=1, backend=backend)
-        assert res.backend == name
-        assert res.human().endswith(f" backend={name}")
-        assert len(res.csv_row().split(",")) == 7  # the fixed CSV columns
+    res = run_bench(1, "mr7", reps=1)
+    assert res.backend == kernel.BACKEND
+    assert res.human().endswith(f" backend={kernel.BACKEND}")
+    assert len(res.csv_row().split(",")) == 7  # the fixed CSV columns
 
 
 def test_csv_row_format():
@@ -173,7 +171,6 @@ def _choices(command: str, dest: str) -> set:
 def test_the_algorithm_table_drives_every_choice():
     for command in ("test", "verify", "bench", "search"):
         assert _choices(command, "algo") == set(kernel.ALGOS), command
-    assert _choices("bench", "backend") == set(kernel.BACKEND_CHOICES)
     assert _choices("bench", "set_id") == set(BENCH_SETS)
 
 
@@ -333,39 +330,44 @@ def test_cli_bench_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("1,ge,1,")
-    argv = ["bench", "--set", "1", "--algo", "mr7", "--reps", "1", "--backend", "python"]
-    assert main(argv) == 0
-    assert capsys.readouterr().out.strip().endswith(" backend=python")
 
 
-
-def test_cli_bench_without_the_compiled_kernel(monkeypatch, capsys):
-    # as on a tree where primekit._kernel64 was never built: a usage error
-    # on one line, not a traceback that exits 1 ("mismatch found")
-    monkeypatch.setitem(sys.modules, "primekit._kernel64", None)
-    monkeypatch.delattr(primekit, "_kernel64", raising=False)
-    argv = ["bench", "--set", "1", "--algo", "ge", "--reps", "1", "--backend", "c"]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: the compiled kernel") and "not built" in err
+def test_cli_bench_without_the_compiled_kernel(tmp_path):
+    # PRIMEKIT_BACKEND=c on a tree where primekit._kernel64 was never built:
+    # one error line and exit 2, not a traceback that exits 1 ("mismatch found")
+    src = tmp_path / "src"
+    shutil.copytree(Path(__file__).resolve().parent.parent / "src", src,
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    env = dict(os.environ, PRIMEKIT_BACKEND="c", PYTHONPATH=str(src))
+    for argv in (["corpus"], ["bench", "--set", "1", "--algo", "ge", "--reps", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "primekit", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == "", argv
+        assert len(proc.stderr.splitlines()) == 1, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: the compiled kernel primekit._kernel64"
+                                      " is not built"), (argv, proc.stderr)
+    # the package itself loads no kernel, so its tests run on such a tree
+    code = ("import sys, primekit\n"
+            "assert 'primekit.kernel' not in sys.modules, sorted(sys.modules)\n"
+            "print(primekit.mr_ge(97).label)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "prime"
 
 
 @needs_build_tools
 def test_bench_times_the_kernel_the_process_selected(kernel_build):
-    # without --backend, bench times kernel.ALGORITHMS as PRIMEKIT_BACKEND
-    # selected it; a named --backend still overrides
-    for selected, argv, timed in (("py", [], "python"), ("auto", [], "c"),
-                                  ("py", ["--backend", "c"], "c"),
-                                  ("c", ["--backend", "py"], "python")):
+    # bench times kernel.ALGORITHMS as PRIMEKIT_BACKEND selected it
+    for selected, timed in (("py", "python"), ("auto", "c"), ("c", "c")):
         env = dict(os.environ, PRIMEKIT_BACKEND=selected, PYTHONPATH=str(kernel_build))
         proc = subprocess.run(
             [sys.executable, "-m", "primekit", "bench", "--set", "1", "--algo", "ge",
-             "--reps", "1", *argv],
+             "--reps", "1"],
             cwd=kernel_build.parent, env=env, capture_output=True, text=True,
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().endswith(f" backend={timed}"), (selected, argv,
+        assert proc.stdout.strip().endswith(f" backend={timed}"), (selected,
                                                                    proc.stdout)
