@@ -23,7 +23,8 @@ from primekit.harness import (
 )
 
 PUBLIC_NAMES = {
-    "FORM_4K1", "FORM_4K3", "FORM_8K1", "FORM_8K3", "FORM_8K5", "FORM_8K7", "Form", "RECIPE_256", "RECIPE_2048", "Recipe",
+    "FORM_4K1", "FORM_4K3", "FORM_8K1", "FORM_8K3", "FORM_8K5", "FORM_8K7",
+    "Form", "RECIPE_256", "RECIPE_2048", "Recipe",
     "SearchCapExceeded", "SearchResult", "Stage", "TraceStep", "Verdict",
     "bpsw", "gauss_euler", "is_small_prime", "legendre", "mr_ge",
     "mr_ge_first_attempt", "mulmod", "powmod", "recipe256", "recipe2048",
